@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import bounds as bounds_mod
 from .codes import GridWord, TensorCode, decode
 from .errors import MrGridError
-from .galois import FieldSpec
+from .galois import prime_powers_upto, spec_for_order
 from .mr import attack_t3, attack_t4, certify_mr, search_mr
 from .patterns import enumerate_types
 
@@ -54,25 +53,11 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _prime_powers_upto(limit: int):
-    for q in range(2, limit + 1):
-        if q & (q - 1) == 0:  # power of two
-            yield q
-        else:
-            f = 2
-            n = q
-            while f * f <= n:
-                if n % f == 0:
-                    break
-                f += 1
-            else:
-                yield q
-
-
-def _spec_for_order(q: int) -> FieldSpec:
-    if q & (q - 1) == 0 and q > 2:
-        return FieldSpec(2, q.bit_length() - 1)
-    return FieldSpec(q)
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -88,7 +73,7 @@ def _cmd_enumerate(args) -> tuple[int, dict]:
 
 def _cmd_certify(args) -> tuple[int, dict]:
     code = TensorCode.from_dict(_load_json(args.code))
-    report = certify_mr(code, instantiation_cap=args.cap, threads=args.threads)
+    report = certify_mr(code, instantiation_cap=args.cap)
     status = 0 if report.verdict == "certified" else 1
     return status, {"schema": SCHEMA, "command": "certify", "report": report.to_dict()}
 
@@ -97,11 +82,11 @@ def _cmd_search(args) -> tuple[int, dict]:
     progress = []
     found = None
     q_found = None
-    for q in _prime_powers_upto(args.q_max):
+    for q in prime_powers_upto(args.q_max):
         if q < args.q_min:
             continue
         try:
-            spec = _spec_for_order(q)
+            spec = spec_for_order(q)
         except ValueError:
             continue
         code = search_mr(args.m, args.b, args.n, spec,
@@ -158,7 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="write the report to a file instead of stdout")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--threads", type=_positive_int, default=argparse.SUPPRESS,
+                        help="accepted for compatibility; certification always "
+                             "runs in one process")
 
     p = argparse.ArgumentParser(prog="mrgrid", parents=[common],
                                 description="MR tensor-product codes for grid topologies")
@@ -224,8 +211,6 @@ def run(argv) -> int:
         args.format = "json"
     if not hasattr(args, "out"):
         args.out = None
-    if not hasattr(args, "threads"):
-        args.threads = int(os.environ.get("MRGRID_THREADS", "1"))
     try:
         status, report = args.func(args)
     except MrGridError as exc:

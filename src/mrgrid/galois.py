@@ -203,6 +203,21 @@ class FieldSpec:
         return f"GF(2^{self.k}, modulus={bin(self.modulus)})"
 
 
+def prime_powers_upto(limit: int):
+    """Yield, in increasing order, the orders q <= limit that spec_for_order
+    accepts: the primes and the powers of two."""
+    for q in range(2, limit + 1):
+        if q & (q - 1) == 0 or _is_prime(q):
+            yield q
+
+
+def spec_for_order(q: int) -> FieldSpec:
+    """GF(q) for a prime q, or GF(2^k) with the default modulus for q = 2^k."""
+    if q & (q - 1) == 0 and q > 2:
+        return FieldSpec(2, q.bit_length() - 1)
+    return FieldSpec(q)
+
+
 @dataclass(frozen=True)
 class FieldElement:
     """A field element paired with its FieldSpec; value is the raw int encoding."""

@@ -11,16 +11,15 @@ rank computation before returning.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from math import comb
 
 from .codes import TensorCode, build_pseudo_parity, is_correctable_by
 from .errors import MixedFields, NotMds, ResourceGuard
 from .galois import FieldElement, FieldSpec, discrete_log, primitive_element
 from .gfmatrix import GFMatrix, every_w_columns_independent, rank
-from .patterns import (ErasurePattern, Topology, count_instantiations,
-                       enumerate_types, instantiate_type, type_orbit_masks)
+from .patterns import ErasurePattern, Topology, enumerate_types, type_orbit_masks
 
 # Pattern masks for the two special topologies (rows x six columns).
 TYPE_I_MASK = ((1, 1, 1, 0, 0, 0),
@@ -150,10 +149,9 @@ def _zero_under_some_permutation(spec: FieldSpec, kind: str, values) -> bool:
 def find_sum_collision(exponents, modulus: int) -> SidonWitness | None:
     """Three pairwise-disjoint 2-subsets of the exponent set with equal sums mod modulus.
 
-    Distinct 2-subsets sharing a sum are automatically disjoint ({a,b} and
-    {a,c} with equal sums forces b = c), so any sum bucket holding three
-    pairs yields a witness; the explicit disjointness pass is kept as a
-    guard for the selection order.
+    Distinct 2-subsets sharing a sum are disjoint ({a,b} and {a,c} with
+    equal sums forces b = c), so any sum bucket holding three pairs yields a
+    witness.
     """
     exps = sorted(set(int(t) % modulus for t in exponents))
     if len(exps) != len(set(exponents)):
@@ -163,24 +161,8 @@ def find_sum_collision(exponents, modulus: int) -> SidonWitness | None:
         buckets.setdefault((a + b) % modulus, []).append((a, b))
     for s in sorted(buckets):
         pairs = buckets[s]
-        if len(pairs) < 3:
-            continue
-        chosen = []
-        used = set()
-        for p in pairs:
-            if p[0] not in used and p[1] not in used:
-                chosen.append(p)
-                used.update(p)
-            if len(chosen) == 3:
-                break
-        if len(chosen) < 3:
-            for trio in combinations(pairs, 3):
-                flat = [t for p in trio for t in p]
-                if len(set(flat)) == 6:
-                    chosen = list(trio)
-                    break
-        if len(chosen) >= 3:
-            (t1, t6), (t2, t5), (t3, t4) = chosen[:3]
+        if len(pairs) >= 3:
+            (t1, t6), (t2, t5), (t3, t4) = pairs[:3]
             return SidonWitness(exponents=(t1, t2, t3, t4, t5, t6),
                                 pairing=((t1, t6), (t2, t5), (t3, t4)),
                                 modulus=modulus)
@@ -214,7 +196,7 @@ def _restricted_rank(code: TensorCode, pattern: ErasurePattern) -> int:
     return rank(h.restrict_columns(cols))
 
 
-def _ones_col_restricted_rank(h_row: GFMatrix, m: int, pattern: ErasurePattern) -> int:
+def _ones_col_restricted_rank(h_row: GFMatrix, pattern: ErasurePattern) -> int:
     """rank of the all-ones-column pseudo-parity matrix restricted to the pattern.
 
     Assembled directly from h_row entries so degenerate inputs (h_row without
@@ -257,7 +239,7 @@ def attack_t4(h_row: GFMatrix) -> AttackOutcome | None:
     columns = tuple(exp_to_col[t] for t in witness.exponents)
     witness = SidonWitness(witness.exponents, witness.pairing, witness.modulus, columns)
     pattern = _masked_pattern(TYPE_II_MASK, columns)
-    r = _ones_col_restricted_rank(h_row, 4, pattern)
+    r = _ones_col_restricted_rank(h_row, pattern)
     if r >= len(pattern.cells):
         raise AssertionError("pair-sum witness failed the rank validation")
     return AttackOutcome(pattern, r, witness=witness)
@@ -316,7 +298,7 @@ def attack_t3(h_row: GFMatrix) -> AttackOutcome | None:
     if len(zero_first) >= 6:
         columns = tuple(zero_first[:6])
         pattern = _masked_pattern(E0_MASK, columns)
-        r = _ones_col_restricted_rank(h_row, 3, pattern)
+        r = _ones_col_restricted_rank(h_row, pattern)
         if r >= len(pattern.cells):
             raise AssertionError("zero-first-coordinate columns failed the rank validation")
         return AttackOutcome(pattern, r, detail={
@@ -339,7 +321,7 @@ def attack_t3(h_row: GFMatrix) -> AttackOutcome | None:
     (i1, j1), (i2, j2), (i3, j3) = chosen
     columns = (i1, j1, i2, j2, i3, j3)
     pattern = _masked_pattern(E0_MASK, columns)
-    r = _ones_col_restricted_rank(h_row, 3, pattern)
+    r = _ones_col_restricted_rank(h_row, pattern)
     if r >= len(pattern.cells):
         raise AssertionError("difference collision failed the rank validation")
     return AttackOutcome(pattern, r, detail={
@@ -352,8 +334,11 @@ def find_difference_collision(gammas: dict, spec: FieldSpec):
     """Three vertex-disjoint ordered column pairs whose normalized vectors
     share one difference; returns (delta, pairs) or None.
 
-    gammas maps column index -> (g1, g2) in the field squared; pairs are
+    gammas maps column index -> (g1, g2) in the field squared and must be
+    injective (attack_t3 raises NotMds before calling otherwise); pairs are
     oriented so the second column's vector is the first's plus delta.
+    Injectivity makes each difference bucket a digraph of in- and out-degree
+    at most one, on which _disjoint_edges finds a maximum disjoint pick.
     """
     buckets: dict[tuple, list] = {}
     cols = sorted(gammas)
@@ -369,12 +354,6 @@ def find_difference_collision(gammas: dict, spec: FieldSpec):
         if len(edges) < 3:
             continue
         chosen = _disjoint_edges(edges)
-        if len(chosen) < 3:
-            for trio in combinations(edges, 3):
-                flat = [v for e in trio for v in e]
-                if len(set(flat)) == 6:
-                    chosen = list(trio)
-                    break
         if len(chosen) >= 3:
             return delta, tuple(sorted(chosen)[:3])
     return None
@@ -384,18 +363,8 @@ def find_difference_collision(gammas: dict, spec: FieldSpec):
 # certification
 # ----------------------------------------------------------------------
 
-def _certify_chunk(code_dict: dict, chunk: list):
-    code = TensorCode.from_dict(code_dict)
-    for k, cells in enumerate(chunk):
-        e = ErasurePattern.from_list(cells)
-        if not is_correctable_by(code, e):
-            return k, _restricted_rank(code, e)
-    return None
-
-
 def certify_mr(code: TensorCode,
                instantiation_cap: int = DEFAULT_INSTANTIATION_CAP,
-               threads: int = 1,
                dedupe_rows: bool = True) -> CertReport:
     """Certify maximal recoverability for an a = 1 tensor code.
 
@@ -414,68 +383,35 @@ def certify_mr(code: TensorCode,
         return CertReport("failed_mds", None, None, 0)
     if any(code.h_col[0, i] == 0 for i in range(t.m)):
         return CertReport("failed_mds", None, None, 0)
-    types = enumerate_types(t.m, t.b)
-    usable = [pt for pt in types if pt.v <= t.n]
-    if dedupe_rows:
-        from math import comb
-        total = 0
-        reps_by_type = []
-        for pt in usable:
-            reps = sorted({tuple(sorted(mask)) for mask in type_orbit_masks(pt)})
-            reps_by_type.append(reps)
-            total += comb(t.n, pt.v) * len(reps)
-        if total > instantiation_cap:
-            raise ResourceGuard(
-                f"{total} pattern classes exceed cap {instantiation_cap}")
-
-        def pattern_stream():
-            for pt, reps in zip(usable, reps_by_type):
-                for cols in combinations(range(t.n), pt.v):
-                    for mask in reps:
-                        yield ErasurePattern.of(
-                            (i, cols[j]) for i in range(pt.u)
-                            for j in range(pt.v) if mask[i][j])
-    else:
-        total = sum(count_instantiations(pt, t.m, t.n) for pt in usable)
-        if total > instantiation_cap:
-            raise ResourceGuard(
-                f"{total} pattern instantiations exceed cap {instantiation_cap}")
-
-        def pattern_stream():
-            for pt in usable:
-                yield from instantiate_type(pt, t.m, t.n)
-
-    if threads > 1:
-        code_dict = code.to_dict()
-        chunk_size = 512
-        stream = pattern_stream()
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = []
-            base = 0
-            chunk = []
-            for e in stream:
-                chunk.append(e.to_list())
-                if len(chunk) == chunk_size:
-                    futures.append((base, chunk, pool.submit(_certify_chunk, code_dict, chunk)))
-                    base += len(chunk)
-                    chunk = []
-            if chunk:
-                futures.append((base, chunk, pool.submit(_certify_chunk, code_dict, chunk)))
-                base += len(chunk)
-            checked = base
-            for start, chunk, fut in futures:
-                hit = fut.result()
-                if hit is not None:
-                    k, r = hit
-                    bad = ErasurePattern.from_list(chunk[k])
-                    return CertReport("failed_pattern", bad, r, start + k + 1)
-        return CertReport("certified", None, None, checked)
+    # per usable type: the grid rows it is placed on and the masks placed there
+    plans = []
+    total = 0
+    for pt in enumerate_types(t.m, t.b):
+        if pt.v > t.n:
+            continue
+        if dedupe_rows:
+            row_choices = [range(pt.u)]
+            masks = sorted({tuple(sorted(mask)) for mask in type_orbit_masks(pt)})
+        else:
+            row_choices = list(combinations(range(t.m), pt.u))
+            masks = type_orbit_masks(pt)
+        plans.append((pt, row_choices, masks))
+        total += len(row_choices) * comb(t.n, pt.v) * len(masks)
+    if total > instantiation_cap:
+        unit = "classes" if dedupe_rows else "instantiations"
+        raise ResourceGuard(f"{total} pattern {unit} exceed cap {instantiation_cap}")
 
     checked = 0
-    for e in pattern_stream():
-        checked += 1
-        if not is_correctable_by(code, e):
-            return CertReport("failed_pattern", e, _restricted_rank(code, e), checked)
+    for pt, row_choices, masks in plans:
+        for rows in row_choices:
+            for cols in combinations(range(t.n), pt.v):
+                for mask in masks:
+                    e = ErasurePattern.of((rows[i], cols[j]) for i in range(pt.u)
+                                          for j in range(pt.v) if mask[i][j])
+                    checked += 1
+                    if not is_correctable_by(code, e):
+                        return CertReport("failed_pattern", e,
+                                          _restricted_rank(code, e), checked)
     return CertReport("certified", None, None, checked)
 
 

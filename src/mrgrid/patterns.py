@@ -154,7 +154,12 @@ def is_regular(t: Topology, e: ErasurePattern, mode: str = "fast") -> bool:
                     return False
         return True
 
+    # every V as a bitmask over cols_used; a V with fewer than max(b, 1)
+    # columns gets a bound no erasure count can exceed
+    sizes = [mask.bit_count() for mask in range(1 << len(cols_used))]
+    vmin = max(b, 1)
     for r in range(max(a, 1), len(rows_used) + 1):
+        bounds = [s * a + r * b - a * b if s >= vmin else len(e.cells) for s in sizes]
         for U in combinations(rows_used, r):
             uset = set(U)
             for j in by_col:
@@ -162,11 +167,13 @@ def is_regular(t: Topology, e: ErasurePattern, mode: str = "fast") -> bool:
             for i, j in e.cells:
                 if i in uset:
                     by_col[j] += 1
-            for s in range(max(b, 1), len(cols_used) + 1):
-                rhs = s * a + r * b - a * b
-                for V in combinations(cols_used, s):
-                    if sum(by_col[j] for j in V) > rhs:
-                        return False
+            # |E ∩ (U x V)| for every V, each from V minus its highest column
+            sums = [0]
+            for j in cols_used:
+                c = by_col[j]
+                sums += [x + c for x in sums]
+            if any(x > bound for x, bound in zip(sums, bounds)):
+                return False
     return True
 
 

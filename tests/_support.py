@@ -2,33 +2,9 @@
 
 from itertools import combinations, combinations_with_replacement, permutations
 
-from mrgrid import (ErasurePattern, FieldSpec, GFMatrix, TensorCode, Topology,
-                    every_w_columns_independent)
-
-
-def spec_for_order(q: int) -> FieldSpec:
-    if q & (q - 1) == 0 and q > 2:
-        return FieldSpec(2, q.bit_length() - 1)
-    return FieldSpec(q)
-
-
-def prime_powers_upto(limit: int):
-    for q in range(2, limit + 1):
-        if q & (q - 1) == 0:
-            yield q
-            continue
-        f = 2
-        while f * f <= q:
-            if q % f == 0:
-                break
-            f += 1
-        else:
-            yield q
-
-
-def supported_orders_upto(limit: int):
-    """Prime fields plus binary extensions, q <= limit."""
-    yield from prime_powers_upto(limit)
+from mrgrid import ErasurePattern, GFMatrix, TensorCode, Topology
+# the field-order sweeps of the tests are the ones the CLI search uses
+from mrgrid.galois import prime_powers_upto, spec_for_order  # noqa: F401
 
 
 def _is_prime(n):

@@ -3,7 +3,7 @@ import time
 import pytest
 
 from mrgrid import search_mr
-from _support import prime_powers_upto, spec_for_order
+from mrgrid.galois import prime_powers_upto, spec_for_order
 
 
 def _sweep(m, b, n, q_max, seed=0):

@@ -22,7 +22,7 @@ from mrgrid.bounds import exceeds_sidon_bound, q_below_t4_threshold
 from mrgrid.mr import E0_MASK, TYPE_I_MASK, TYPE_II_MASK, is_two_sidon
 from _support import (class_pattern, mask_pattern, max_two_sidon,
                       pattern_classes, random_mds_rows, random_nonzero_row,
-                      spec_for_order, supported_orders_upto)
+                      prime_powers_upto, spec_for_order)
 
 
 def report(cid, detail):
@@ -177,7 +177,7 @@ def test_c04_attack_below_threshold_at_desk_scale():
 def test_c05_pair_sum_zero_property():
     t0 = time.time()
     rng = random.Random(7)
-    orders = [q for q in supported_orders_upto(512) if q >= 11]
+    orders = [q for q in prime_powers_upto(512) if q >= 11]
     checked = 0
     while checked < 10 ** 3:
         q = rng.choice(orders)

@@ -156,15 +156,21 @@ def test_formats_and_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["types"] == []
 
 
-def test_threads_env_mirror(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MRGRID_THREADS", "2")
+def test_threads_flag_is_validated_and_inert(tmp_path, capsys, monkeypatch):
     s = FieldSpec(7)
     bad = simple_code(s, 4, 6, 2, [pow(3, t, 7) for t in range(6)])
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(bad.to_dict()))
-    status, out, _ = invoke(capsys, ["certify", "--code", str(f)])
-    assert status == 1
-    assert json.loads(out)["report"]["verdict"] == "failed_pattern"
+    for value in ("0", "-1"):
+        status, out, _ = invoke(capsys, ["certify", "--code", str(f), "--threads", value])
+        assert status == 2 and out == ""
+    # the environment no longer selects anything, so a malformed value is inert
+    monkeypatch.setenv("MRGRID_THREADS", "abc")
+    status, plain, err = invoke(capsys, ["certify", "--code", str(f)])
+    assert status == 1 and "Traceback" not in err
+    assert json.loads(plain)["report"]["verdict"] == "failed_pattern"
+    status, threaded, _ = invoke(capsys, ["--threads", "2", "certify", "--code", str(f)])
+    assert status == 1 and threaded == plain
 
 
 def test_global_flags_after_subcommand(tmp_path, capsys):

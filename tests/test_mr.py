@@ -9,8 +9,8 @@ from mrgrid import (ErasurePattern, FieldElement, FieldSpec, GFMatrix,
                     is_irreducible, is_regular, rank, reduce_restricted, search_mr)
 from mrgrid.errors import MixedFields, NotMds, ResourceGuard
 from mrgrid.gfmatrix import determinant
-from mrgrid.mr import (E0_MASK, TYPE_II_MASK, _zero_under_some_permutation,
-                       is_two_sidon)
+from mrgrid.mr import (E0_MASK, TYPE_II_MASK, _disjoint_edges,
+                       _zero_under_some_permutation, is_two_sidon)
 from _support import mask_pattern, random_mds_rows, simple_code, spec_for_order
 
 
@@ -222,6 +222,35 @@ def test_attack_t3_none_and_errors():
         attack_t3(GFMatrix(s, [[1, 2], [1, 2], [1, 2]]))
 
 
+def test_disjoint_edges_matches_brute_force_on_injective_gammas():
+    # difference buckets of an injective gamma map: _disjoint_edges finds
+    # three vertex-disjoint edges exactly when some edge triple is disjoint
+    rng = random.Random(11)
+    buckets_checked = hits = 0
+    for q in (5, 7, 11, 8, 16):
+        s = spec_for_order(q)
+        points = [(x, y) for x in range(q) for y in range(q)]
+        for _ in range(140):
+            n = rng.randrange(6, 15)
+            gammas = dict(enumerate(rng.sample(points, n)))
+            buckets = {}
+            for i, gi in gammas.items():
+                for j, gj in gammas.items():
+                    if i != j:
+                        delta = (s.sub(gj[0], gi[0]), s.sub(gj[1], gi[1]))
+                        buckets.setdefault(delta, []).append((i, j))
+            for edges in buckets.values():
+                chosen = _disjoint_edges(edges)
+                assert set(chosen) <= set(edges)
+                assert len({v for e in chosen for v in e}) == 2 * len(chosen)
+                brute = any(len({v for e in trio for v in e}) == 6
+                            for trio in combinations(edges, 3))
+                assert (len(chosen) >= 3) == brute
+                buckets_checked += 1
+                hits += brute
+    assert buckets_checked > 2 * 10 ** 4 and hits > 100
+
+
 # ----------------------------------------------------------------------
 # certification
 # ----------------------------------------------------------------------
@@ -261,16 +290,6 @@ def test_certify_dedupe_matches_full_enumeration(certified_t46):
     bad = simple_code(s, 4, 6, 2, [pow(3, t, 7) for t in range(6)])
     assert (certify_mr(bad, dedupe_rows=False).verdict
             == certify_mr(bad, dedupe_rows=True).verdict == "failed_pattern")
-
-
-def test_certify_threads_match_serial():
-    s = FieldSpec(7)
-    bad = simple_code(s, 4, 6, 2, [pow(3, t, 7) for t in range(6)])
-    serial = certify_mr(bad, threads=1)
-    parallel = certify_mr(bad, threads=2)
-    assert serial.verdict == parallel.verdict == "failed_pattern"
-    assert serial.counterexample == parallel.counterexample
-    assert serial.patterns_checked == parallel.patterns_checked
 
 
 def test_certify_resource_guard():
@@ -338,12 +357,6 @@ def test_search_rejects_unknown_shapes():
         search_mr(5, 2, 6, FieldSpec(11), strategy="greedy_indep")
     with pytest.raises(ValueError):
         search_mr(4, 2, 6, FieldSpec(11), strategy="annealing")
-
-
-def test_certify_threads_certified_path(certified_t46):
-    code, _, _ = certified_t46
-    rep = certify_mr(code, threads=2)
-    assert rep.verdict == "certified" and rep.patterns_checked == 75
 
 
 def test_f_poly_accepts_mixed_raw_ints():
