@@ -68,6 +68,8 @@ def bound(name: str, params: dict) -> BoundReport:
         (n,) = _need(params, "n")
         if "C" not in params:
             raise MissingConstant("the n^5/log n bounds need the constant C supplied")
+        if n < 2:
+            raise ValueError(f"the n^5/log n bounds need n >= 2, got n = {n}")
         c = params["C"]
         approx = c * n ** 5 / math.log(n)
         return BoundReport(name, params, {"formula": "C*n^5/log(n)", "C": c},
@@ -81,9 +83,9 @@ def bound(name: str, params: dict) -> BoundReport:
                            "q below (n-3)^2/4 + 2 admits no MR code for T_{4 x n}(1,2,0)")
     if name == "t3_lower_threshold":
         (n,) = _need(params, "n")
-        radicand = n * n - 11 * n + 34
-        approx = math.sqrt(radicand) / 2 if radicand >= 0 else float("nan")
-        return BoundReport(name, params, {"radicand": radicand, "divisor": 2}, approx,
+        radicand = n * n - 11 * n + 34  # (n - 5.5)^2 + 3.75 > 0
+        return BoundReport(name, params, {"radicand": radicand, "divisor": 2},
+                           math.sqrt(radicand) / 2,
                            "q below sqrt(n^2-11n+34)/2 admits no MR code for T_{3 x n}(1,3,0)")
     if name == "sidon_max":
         (N,) = _need(params, "N")
@@ -99,6 +101,9 @@ def bound(name: str, params: dict) -> BoundReport:
         nv, dr, r = _need(params, "nv", "delta_r", "r")
         if "c_r" not in params:
             raise MissingConstant("hypergraph_alpha needs the constant c_r supplied")
+        if not (r >= 1 and 0 < dr <= nv):
+            raise ValueError("hypergraph_alpha needs r >= 1 and 0 < delta_r <= nv, "
+                             f"got r = {r}, delta_r = {dr}, nv = {nv}")
         c_r = params["c_r"]
         ratio = nv / dr
         approx = c_r * (ratio * math.log(ratio)) ** (1.0 / r)
@@ -119,8 +124,7 @@ def q_below_t4_threshold(q: int, n: int) -> bool:
 
 def q_below_t3_threshold(q: int, n: int) -> bool:
     """Exact check of q < sqrt(n^2 - 11n + 34)/2."""
-    radicand = n * n - 11 * n + 34
-    return radicand > 0 and 4 * q * q < radicand
+    return 4 * q * q < n * n - 11 * n + 34
 
 
 def exceeds_sidon_bound(size: int, N: int) -> bool:

@@ -50,7 +50,10 @@ def _flatten(obj, prefix=""):
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _positive_int(text: str) -> int:

@@ -19,7 +19,8 @@ from .codes import TensorCode, build_pseudo_parity, is_correctable_by
 from .errors import MixedFields, NotMds, ResourceGuard
 from .galois import FieldElement, FieldSpec, discrete_log, primitive_element
 from .gfmatrix import GFMatrix, every_w_columns_independent, rank
-from .patterns import ErasurePattern, Topology, enumerate_types, type_orbit_masks
+from .patterns import (ErasurePattern, Topology, enumerate_types, row_class_masks,
+                       type_orbit_masks)
 
 # Pattern masks for the two special topologies (rows x six columns).
 TYPE_I_MASK = ((1, 1, 1, 0, 0, 0),
@@ -391,7 +392,7 @@ def certify_mr(code: TensorCode,
             continue
         if dedupe_rows:
             row_choices = [range(pt.u)]
-            masks = sorted({tuple(sorted(mask)) for mask in type_orbit_masks(pt)})
+            masks = row_class_masks(pt)
         else:
             row_choices = list(combinations(range(t.m), pt.u))
             masks = type_orbit_masks(pt)

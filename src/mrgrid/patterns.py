@@ -6,10 +6,16 @@ lexicographically least 0/1 mask, compared row-major.  For a fixed row
 order the minimizing column order is obtained by sorting columns as
 top-down bit strings, so canonicalization costs u! column sorts instead
 of a u!*v! sweep.
+
+A type's embeddings come from the distinct arrangements of its column
+multiset (at most v!): row_class_masks sorts each arrangement's rows to get
+one mask per row-relabelling class, and type_orbit_masks applies the u! row
+permutations to each arrangement to get every mask of the orbit.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb, factorial
@@ -269,18 +275,58 @@ def enumerate_types(m: int, b: int, cap: int = ENUMERATION_GUARD) -> list[Patter
     return sorted(found.values(), key=lambda pt: (pt.u, pt.v, pt.mask))
 
 
+def _column_arrangements(pt: PatternType):
+    """Every distinct ordering of pt's columns, each a tuple of top-down bit tuples.
+
+    Steps through the orderings in lexicographic order; the next-permutation
+    step never swaps equal columns, so columns of multiplicities k_1..k_r give
+    v!/(k_1!...k_r!) orderings, each once.
+    """
+    cols = sorted(zip(*pt.mask))
+    last = len(cols) - 1
+    while True:
+        yield tuple(cols)
+        i = last - 1
+        while i >= 0 and cols[i] >= cols[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = last
+        while cols[j] <= cols[i]:
+            j -= 1
+        cols[i], cols[j] = cols[j], cols[i]
+        cols[i + 1:] = reversed(cols[i + 1:])
+
+
+def row_class_masks(pt: PatternType, cap: int = ENUMERATION_GUARD) -> list[tuple]:
+    """One mask per row-relabelling class of pt's orbit: the mask with its rows sorted.
+
+    Equals sorted({tuple(sorted(mask)) for mask in type_orbit_masks(pt)}):
+    sorting the rows undoes any row permutation, so only the distinct column
+    arrangements need building.
+    """
+    arrangements = factorial(pt.v)
+    for k in Counter(zip(*pt.mask)).values():
+        arrangements //= factorial(k)
+    if arrangements > cap:
+        raise ResourceGuard(f"{arrangements} column arrangements exceed cap {cap}")
+    return sorted({tuple(sorted(zip(*cols))) for cols in _column_arrangements(pt)})
+
+
 def type_orbit_masks(pt: PatternType, cap: int = ENUMERATION_GUARD) -> list[tuple]:
-    """All distinct masks reachable from pt by row/column permutations."""
+    """All distinct masks reachable from pt by row/column permutations, sorted.
+
+    Each distinct column arrangement is taken under every row permutation,
+    so repeated columns are not permuted among themselves.
+    """
     u, v = pt.u, pt.v
     if factorial(u) * factorial(v) > cap:
         raise ResourceGuard("orbit size exceeds cap")
-    cols = [tuple(pt.mask[i][j] for i in range(u)) for j in range(v)]
+    rperms = list(permutations(range(u)))
     seen = set()
-    for rperm in permutations(range(u)):
-        rcols = [tuple(col[p] for p in rperm) for col in cols]
-        for cperm in permutations(range(v)):
-            mask = tuple(tuple(rcols[c][i] for c in cperm) for i in range(u))
-            seen.add(mask)
+    for cols in _column_arrangements(pt):
+        rows = list(zip(*cols))
+        seen.update(tuple(rows[p] for p in rperm) for rperm in rperms)
     return sorted(seen)
 
 

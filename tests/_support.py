@@ -105,6 +105,17 @@ def class_pattern(u, key) -> ErasurePattern:
     return ErasurePattern.of((i, j) for j, t in enumerate(key) for i in col_types[t])
 
 
+def brute_orbit_masks(pt):
+    """Every mask of pt's orbit, by applying all u! * v! row and column permutations."""
+    rperms = list(permutations(range(pt.u)))
+    seen = set()
+    for cperm in permutations(range(pt.v)):
+        rows = [tuple(row[c] for c in cperm) for row in pt.mask]
+        for rperm in rperms:
+            seen.add(tuple(rows[p] for p in rperm))
+    return sorted(seen)
+
+
 def max_two_sidon(N: int) -> int:
     """Exhaustive maximum 2-Sidon subset size of Z_N (0 fixed by translation)."""
     if N == 1:

@@ -383,3 +383,21 @@ def test_certify_dedupe_with_unused_grid_rows():
             assert rep.rank_found < len(rep.counterexample.cells)
     else:
         assert (dedup.patterns_checked, full.patterns_checked) == (75, 9000)
+
+
+def test_certify_dedupe_matches_literal_sweep_t4x6_b3():
+    # T_4x6(1,3,0) has one usable type (u = 4, v = 6, 15 row classes, 360 masks)
+    topo = Topology(4, 6, 1, 3)
+    bad = simple_code(FieldSpec(13), 4, 6, 3, [0, 1, 3, 7, 9, 12])
+    good = simple_code(FieldSpec(1009), 4, 6, 3, [3, 17, 101, 444, 700, 958])
+    reports = {(code, dedupe): certify_mr(code, dedupe_rows=dedupe)
+               for code in (bad, good) for dedupe in (True, False)}
+    for dedupe in (True, False):
+        rep = reports[bad, dedupe]
+        assert rep.verdict == "failed_pattern"
+        e = rep.counterexample
+        assert is_regular(topo, e) and is_irreducible(topo, e)
+        assert not is_correctable_by(bad, e, method="direct")
+        assert rep.rank_found < len(e.cells)
+    assert reports[good, True].verdict == reports[good, False].verdict == "certified"
+    assert (reports[good, True].patterns_checked, reports[good, False].patterns_checked) == (15, 360)

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, combinations_with_replacement
+from math import factorial
 
 import pytest
 
@@ -8,8 +9,8 @@ from mrgrid import (ErasurePattern, PatternType, Topology, canonical_type,
 from mrgrid.bounds import comb_le
 from mrgrid.errors import EmptyPattern, ResourceGuard
 from mrgrid.mr import E0_MASK, TYPE_I_MASK, TYPE_II_MASK
-from mrgrid.patterns import count_instantiations
-from _support import mask_pattern
+from mrgrid.patterns import count_instantiations, row_class_masks, type_orbit_masks
+from _support import brute_orbit_masks, mask_pattern
 
 
 E1 = mask_pattern(TYPE_I_MASK)
@@ -199,3 +200,35 @@ def test_instantiate_count_matches_distinct_embeddings():
     pt = canonical_type(E1)
     seen = {e.cells for e in instantiate_type(pt, 4, 7)}
     assert len(seen) == count_instantiations(pt, 4, 7) == 1080 * 7
+
+
+def test_orbit_masks_match_bruteforce_permutation_sweep():
+    # every type whose u! * v! sweep stays small, across five shapes
+    checked = 0
+    for (m, b) in ((4, 2), (3, 3), (4, 3), (3, 4), (5, 2)):
+        for pt in enumerate_types(m, b):
+            if factorial(pt.u) * factorial(pt.v) > 250_000:
+                continue
+            orbit = brute_orbit_masks(pt)
+            assert type_orbit_masks(pt) == orbit, pt
+            assert row_class_masks(pt) == sorted({tuple(sorted(mask)) for mask in orbit}), pt
+            checked += 1
+    assert checked == 14
+
+
+def test_row_class_masks_examples_and_guard():
+    # Type II has six distinct columns: 720 arrangements, 30 row classes;
+    # Type I repeats two of its columns: 6!/(2!2!) = 180 arrangements, 45 classes
+    two, one = canonical_type(E2), canonical_type(E1)
+    assert (len(row_class_masks(two)), len(type_orbit_masks(two))) == (30, 720)
+    assert (len(row_class_masks(one)), len(type_orbit_masks(one))) == (45, 1080)
+    # four equal columns have one arrangement, hence one class
+    block = canonical_type(ErasurePattern.of((i, j) for i in range(3) for j in range(4)))
+    assert row_class_masks(block) == [((1, 1, 1, 1),) * 3]
+    # the guard counts distinct arrangements, not u! * v!
+    with pytest.raises(ResourceGuard, match="720 column arrangements exceed cap 719"):
+        row_class_masks(two, cap=719)
+    with pytest.raises(ResourceGuard, match="180 column arrangements exceed cap 179"):
+        row_class_masks(one, cap=179)
+    assert row_class_masks(one, cap=180) == row_class_masks(one)
+    assert row_class_masks(block, cap=1) == row_class_masks(block)
