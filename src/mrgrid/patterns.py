@@ -298,7 +298,7 @@ def _column_arrangements(pt: PatternType):
         cols[i + 1:] = reversed(cols[i + 1:])
 
 
-def row_class_masks(pt: PatternType, cap: int = ENUMERATION_GUARD) -> list[tuple]:
+def row_class_masks(pt: PatternType) -> list[tuple]:
     """One mask per row-relabelling class of pt's orbit: the mask with its rows sorted.
 
     Equals sorted({tuple(sorted(mask)) for mask in type_orbit_masks(pt)}):
@@ -308,8 +308,9 @@ def row_class_masks(pt: PatternType, cap: int = ENUMERATION_GUARD) -> list[tuple
     arrangements = factorial(pt.v)
     for k in Counter(zip(*pt.mask)).values():
         arrangements //= factorial(k)
-    if arrangements > cap:
-        raise ResourceGuard(f"{arrangements} column arrangements exceed cap {cap}")
+    if arrangements > ENUMERATION_GUARD:
+        raise ResourceGuard(
+            f"{arrangements} column arrangements exceed guard {ENUMERATION_GUARD}")
     return sorted({tuple(sorted(zip(*cols))) for cols in _column_arrangements(pt)})
 
 

@@ -225,10 +225,9 @@ def test_row_class_masks_examples_and_guard():
     # four equal columns have one arrangement, hence one class
     block = canonical_type(ErasurePattern.of((i, j) for i in range(3) for j in range(4)))
     assert row_class_masks(block) == [((1, 1, 1, 1),) * 3]
-    # the guard counts distinct arrangements, not u! * v!
-    with pytest.raises(ResourceGuard, match="720 column arrangements exceed cap 719"):
-        row_class_masks(two, cap=719)
-    with pytest.raises(ResourceGuard, match="180 column arrangements exceed cap 179"):
-        row_class_masks(one, cap=179)
-    assert row_class_masks(one, cap=180) == row_class_masks(one)
-    assert row_class_masks(block, cap=1) == row_class_masks(block)
+    # the guard counts distinct arrangements, not u! * v!: eleven distinct
+    # columns give 11! of them, checked before any is built
+    cols = [tuple((k >> i) & 1 for i in range(4)) for k in range(1, 12)]
+    wide = PatternType(4, 11, tuple(zip(*cols)))
+    with pytest.raises(ResourceGuard, match="39916800 column arrangements exceed guard"):
+        row_class_masks(wide)
