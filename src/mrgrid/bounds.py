@@ -20,7 +20,7 @@ class BoundReport:
     name: str
     params: dict
     value: object  # int | Fraction | dict with "radicand"/"divisor"
-    approx: float
+    approx: float | None  # None when the value is too large for a float
     applicability: str
 
     def to_dict(self) -> dict:
@@ -44,6 +44,14 @@ def c0_constant(m: int, b: int) -> int:
     return factorial(m + 1) * comb_le(m * b * (m - 1), 2 * b * (m - 1))
 
 
+def _approx(value) -> float | None:
+    """float(value), or None (JSON null) when the exact value is too large for a float."""
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
 def _need(params: dict, *names):
     missing = [x for x in names if x not in params]
     if missing:
@@ -57,12 +65,12 @@ def bound(name: str, params: dict) -> BoundReport:
         m, b, n = _need(params, "m", "b", "n")
         redundancy = n + b * m - b
         value = redundancy * comb_le(m * n, redundancy)
-        return BoundReport(name, params, value, float(value),
+        return BoundReport(name, params, value, _approx(value),
                            "q above this admits an MR instantiation of any topology")
     if name == "kmg_poly":
         m, b, n = _need(params, "m", "b", "n")
         value = c0_constant(m, b) * n ** (2 * b * (m - 1)) + n ** (b - 1)
-        return BoundReport(name, params, value, float(value),
+        return BoundReport(name, params, value, _approx(value),
                            "q at or above this admits an MR code for T_{m x n}(1,b,0)")
     if name in ("t4_upper", "t3_upper"):
         (n,) = _need(params, "n")
@@ -71,7 +79,8 @@ def bound(name: str, params: dict) -> BoundReport:
         if n < 2:
             raise ValueError(f"the n^5/log n bounds need n >= 2, got n = {n}")
         c = params["C"]
-        approx = c * n ** 5 / math.log(n)
+        n5 = _approx(n ** 5)
+        approx = None if n5 is None else c * n5 / math.log(n)
         return BoundReport(name, params, {"formula": "C*n^5/log(n)", "C": c},
                            approx, "existence threshold up to the unspecified constant")
     if name == "t4_lower_threshold":
@@ -79,23 +88,25 @@ def bound(name: str, params: dict) -> BoundReport:
         value = Fraction((n - 3) ** 2, 4) + 2
         if value.denominator == 1:
             value = int(value)
-        return BoundReport(name, params, value, float(value),
+        return BoundReport(name, params, value, _approx(value),
                            "q below (n-3)^2/4 + 2 admits no MR code for T_{4 x n}(1,2,0)")
     if name == "t3_lower_threshold":
         (n,) = _need(params, "n")
         radicand = n * n - 11 * n + 34  # (n - 5.5)^2 + 3.75 > 0
+        rad_float = _approx(radicand)
         return BoundReport(name, params, {"radicand": radicand, "divisor": 2},
-                           math.sqrt(radicand) / 2,
+                           None if rad_float is None else math.sqrt(rad_float) / 2,
                            "q below sqrt(n^2-11n+34)/2 admits no MR code for T_{3 x n}(1,3,0)")
     if name == "sidon_max":
         (N,) = _need(params, "N")
+        n_float = _approx(N)
         return BoundReport(name, params, {"radicand": 4 * N, "divisor": 1, "offset": 1},
-                           2 * math.sqrt(N) + 1,
+                           None if n_float is None else 2 * math.sqrt(n_float) + 1,
                            "a 2-Sidon subset of Z_N has at most 2*sqrt(N) + 1 elements")
     if name == "type_count":
         m, b = _need(params, "m", "b")
         value = comb_le(m * b * (m - 1), 2 * b * (m - 1))
-        return BoundReport(name, params, value, float(value),
+        return BoundReport(name, params, value, _approx(value),
                            "upper bound on the number of regular irreducible pattern types")
     if name == "hypergraph_alpha":
         nv, dr, r = _need(params, "nv", "delta_r", "r")
@@ -104,9 +115,11 @@ def bound(name: str, params: dict) -> BoundReport:
         if not (r >= 1 and 0 < dr <= nv):
             raise ValueError("hypergraph_alpha needs r >= 1 and 0 < delta_r <= nv, "
                              f"got r = {r}, delta_r = {dr}, nv = {nv}")
-        c_r = params["c_r"]
-        ratio = nv / dr
-        approx = c_r * (ratio * math.log(ratio)) ** (1.0 / r)
+        c_r, nv_float = params["c_r"], _approx(nv)
+        approx = None
+        if nv_float is not None:
+            ratio = nv_float / dr
+            approx = c_r * (ratio * math.log(ratio)) ** (1.0 / r)
         return BoundReport(name, params, {"formula": "c_r*((nv/D)*log(nv/D))^(1/r)"},
                            approx, "independence number lower bound, valid for small r-degree")
     raise ValueError(f"unknown bound name {name!r}")

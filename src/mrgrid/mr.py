@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 
 from .codes import TensorCode, build_pseudo_parity, is_correctable_by
@@ -133,14 +133,6 @@ def f_poly(topology_kind: str, args) -> FieldElement:
     if spec is None:
         raise ValueError("at least one argument must carry a FieldSpec")
     return FieldElement(_F_BY_KIND[topology_kind](spec, vals), spec)
-
-
-def _zero_under_some_permutation(spec: FieldSpec, kind: str, values) -> bool:
-    f = _F_BY_KIND[kind]
-    for perm in permutations(values):
-        if f(spec, perm) == 0:
-            return True
-    return False
 
 
 # ----------------------------------------------------------------------
@@ -420,26 +412,59 @@ def certify_mr(code: TensorCode,
 # constructive search
 # ----------------------------------------------------------------------
 
-_GREEDY_SHAPES = {(4, 2): "t4_12", (3, 3): "t3_13"}
+# (m, b) of T_{4xn}(1,2,0) and T_{3xn}(1,3,0): one greedy rule serves both
+_GREEDY_SHAPES = ((4, 2), (3, 3))
 
 
-def _greedy_values(spec: FieldSpec, kind: str, n: int, seed: int) -> list | None:
+def _involution_roots(spec: FieldSpec, five):
+    """The values x that put some pairing of x with the five values in involution.
+
+    Three pairs {u, u'} are in involution when D = det[1, u+u', u*u'] (one
+    row per pair) vanishes; for distinct values this is exactly "the rank
+    polynomial of either special topology vanishes under some argument
+    order", since f_t4(x) = -D({x1,x6}, {x2,x5}, {x3,x4}) and f_t3(x) =
+    (x1-x2)(x3-x4)(x5-x6) * D({x1,x2}, {x3,x4}, {x5,x6}).  With x paired to
+    a and the other pairs' sums s2, s3 and products p2, p3, D = c1*x + c0,
+    so each of the 15 pairings forbids at most one x.  c1 = c0 = 0 cannot
+    occur for distinct values: D = 0 says (t-x)(t-a) lies in the span of
+    (t-b)(t-b') and (t-c)(t-c'); for two different x that span would be
+    (t-a) times all linear polynomials, so (t-a) would divide (t-b)(t-b').
+    """
+    add, sub, mul = spec.add, spec.sub, spec.mul
+    for i, a in enumerate(five):
+        b, b2, c, c2 = five[:i] + five[i + 1:]
+        for (u, u2), (w, w2) in (((b, b2), (c, c2)), ((b, c), (b2, c2)), ((b, c2), (b2, c))):
+            s2, p2, s3, p3 = add(u, u2), mul(u, u2), add(w, w2), mul(w, w2)
+            dp = sub(p3, p2)
+            c1 = sub(mul(a, sub(s3, s2)), dp)
+            if c1:
+                c0 = sub(sub(mul(s2, p3), mul(s3, p2)), mul(a, dp))
+                yield spec.neg(spec.div(c0, c1))
+
+
+def _greedy_values(spec: FieldSpec, n: int, seed: int) -> list | None:
+    """The first n field values of the scan with no six in involution, or None.
+
+    The scan runs over the field in increasing value (seed permutes it) and
+    accepts a value unless some pairing of it with five accepted values puts
+    three pairs in involution (see _involution_roots).  Instead of testing
+    each candidate, every accepted value adds the roots of its new 5-subsets
+    to a forbidden set, which the scan skips.
+    """
     order = list(spec.elements())
     if seed:
         random.Random(seed).shuffle(order)
-    f = _F_BY_KIND[kind]
     accepted = []
+    forbidden = set()
     for x in order:
         if len(accepted) >= n:
             break
-        if len(accepted) >= 5:
-            ok = True
-            for five in combinations(accepted, 5):
-                if _zero_under_some_permutation(spec, kind, five + (x,)):
-                    ok = False
-                    break
-            if not ok:
-                continue
+        if x in forbidden:
+            continue
+        # the new 5-subsets are x and four earlier values; the n-th value ends the scan
+        if 4 <= len(accepted) < n - 1:
+            for four in combinations(accepted, 4):
+                forbidden.update(_involution_roots(spec, (x,) + four))
         accepted.append(x)
     return accepted if len(accepted) >= n else None
 
@@ -456,17 +481,18 @@ def search_mr(m: int, b: int, n: int, spec: FieldSpec,
     """Search one field for a certified MR row code; None means try a larger q.
 
     greedy_indep scans field elements in increasing value (seed permutes the
-    scan) and accepts a value unless some 6-subset of the accepted set zeroes
-    the topology's rank polynomial under some argument order; the resulting
-    Vandermonde-style candidate is gated by certify_mr.  random draws h_row
-    uniformly and gates each draw the same way.
+    scan) and rejects a value x if some pairing of x with five accepted
+    values puts three pairs in involution, which for six distinct values is
+    exactly "the topology's rank polynomial vanishes under some argument
+    order"; the rule is the same for (4, 2) and (3, 3), so both accept the
+    same values.  The resulting Vandermonde-style candidate is gated by
+    certify_mr.  random draws h_row uniformly and gates each draw the same way.
     """
     topo = Topology(m, n, 1, b)
     if strategy == "greedy_indep":
-        kind = _GREEDY_SHAPES.get((m, b))
-        if kind is None:
+        if (m, b) not in _GREEDY_SHAPES:
             raise ValueError("greedy_indep supports (m, b) in {(4, 2), (3, 3)}")
-        values = _greedy_values(spec, kind, n, seed)
+        values = _greedy_values(spec, n, seed)
         if values is None:
             return None
         h_row = _vandermonde_rows(spec, values, b)

@@ -1,10 +1,13 @@
 """Shared test helpers: field sweeps, random MDS parities, oracles."""
 
+import random
+import time
 from itertools import combinations, combinations_with_replacement, permutations
 
-from mrgrid import ErasurePattern, GFMatrix, TensorCode, Topology
+from mrgrid import ErasurePattern, GFMatrix, TensorCode, Topology, search_mr
+from mrgrid.mr import _F_BY_KIND
 # the field-order sweeps of the tests are the ones the CLI search uses
-from mrgrid.galois import prime_powers_upto, spec_for_order  # noqa: F401
+from mrgrid.galois import prime_powers_upto, spec_for_order
 
 
 def _is_prime(n):
@@ -16,6 +19,16 @@ def _is_prime(n):
             return False
         f += 1
     return True
+
+
+def first_certified(m, b, n, q_max, seed=0):
+    """The first greedy code certified in the q sweep, its q and the seconds taken."""
+    t0 = time.time()
+    for q in prime_powers_upto(q_max):
+        code = search_mr(m, b, n, spec_for_order(q), strategy="greedy_indep", seed=seed)
+        if code is not None:
+            return code, q, time.time() - t0
+    return None, None, time.time() - t0
 
 
 def random_mds_rows(spec, b, n, rng):
@@ -114,6 +127,35 @@ def brute_orbit_masks(pt):
         for rperm in rperms:
             seen.add(tuple(rows[p] for p in rperm))
     return sorted(seen)
+
+
+# ----------------------------------------------------------------------
+# greedy search oracle: the rank polynomial under all 720 argument orders
+# ----------------------------------------------------------------------
+
+def zero_under_some_permutation(spec, kind, values) -> bool:
+    f = _F_BY_KIND[kind]
+    for perm in permutations(values):
+        if f(spec, perm) == 0:
+            return True
+    return False
+
+
+def brute_greedy_values(spec, kind, n, seed):
+    """The greedy scan tested value by value: x is rejected if some 5-subset
+    of the accepted values plus x zeroes f under some argument order."""
+    order = list(spec.elements())
+    if seed:
+        random.Random(seed).shuffle(order)
+    accepted = []
+    for x in order:
+        if len(accepted) >= n:
+            break
+        if any(zero_under_some_permutation(spec, kind, five + (x,))
+               for five in combinations(accepted, 5)):
+            continue
+        accepted.append(x)
+    return accepted if len(accepted) >= n else None
 
 
 def max_two_sidon(N: int) -> int:

@@ -43,6 +43,17 @@ def test_bounds_missing_constant_is_domain_error(capsys):
     assert "MissingConstant" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--name", "kmg_poly", "--m", "10", "--b", "10", "--n", "1000"],
+    ["bounds", "--name", "t4_upper", "--n", str(10 ** 70), "--C", "1"],
+])
+def test_bounds_too_large_for_a_float_report_null_approx(capsys, argv):
+    status, out, err = invoke(capsys, argv)
+    assert status == 0 and "Traceback" not in err
+    report = json.loads(out)["report"]
+    assert report["approx"] is None and report["value"] is not None
+
+
 def test_usage_error_exit_2(capsys):
     status, _, _ = invoke(capsys, ["enumerate", "--m", "4"])
     assert status == 2

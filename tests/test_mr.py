@@ -1,5 +1,7 @@
+import operator
 import random
-from itertools import combinations
+from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,11 +9,13 @@ from mrgrid import (ErasurePattern, FieldElement, FieldSpec, GFMatrix,
                     TensorCode, Topology, attack_t3, attack_t4, build_pseudo_parity,
                     certify_mr, f_poly, find_sum_collision, is_correctable_by,
                     is_irreducible, is_regular, rank, reduce_restricted, search_mr)
+from mrgrid.bounds import q_below_t3_threshold, q_below_t4_threshold
 from mrgrid.errors import MixedFields, NotMds, ResourceGuard
 from mrgrid.gfmatrix import determinant
-from mrgrid.mr import (E0_MASK, TYPE_II_MASK, _disjoint_edges,
-                       _zero_under_some_permutation, is_two_sidon)
-from _support import mask_pattern, random_mds_rows, simple_code, spec_for_order
+from mrgrid.mr import (_F_BY_KIND, E0_MASK, TYPE_II_MASK, _disjoint_edges, _greedy_values,
+                       is_two_sidon)
+from _support import (brute_greedy_values, first_certified, mask_pattern, random_mds_rows,
+                      simple_code, spec_for_order, zero_under_some_permutation)
 
 
 def fe(spec, vals):
@@ -70,6 +74,43 @@ def test_f_poly_t3_is_the_e0_rank_determinant():
             assert (rank(reduce_restricted(code, pattern)) == 6) == (f != 0)
             zeros += f == 0
         assert zeros > 0, q
+
+
+def _involution_det(ring, pairs):
+    """det[1, u+u', u*u'] over the three pairs, in ring arithmetic."""
+    add, sub, mul = ring.add, ring.sub, ring.mul
+    (s1, p1), (s2, p2), (s3, p3) = [(add(u, w), mul(u, w)) for u, w in pairs]
+    return add(sub(sub(mul(s2, p3), mul(s3, p2)), mul(s1, sub(p3, p2))),
+               mul(p1, sub(s3, s2)))
+
+
+def test_rank_polynomials_are_involution_determinants():
+    """f_t4(x) = -D({x1,x6},{x2,x5},{x3,x4}) and
+    f_t3(x) = (x1-x2)(x3-x4)(x5-x6) D({x1,x2},{x3,x4},{x5,x6}) as integer
+    polynomials.  Both sides have degree at most 2 in every variable, so by
+    the Combinatorial Nullstellensatz lemma (Alon, Lemma 2.1) agreeing on the
+    grid {0,1,2}^6 proves the identities over Z, hence in every field."""
+    ints = SimpleNamespace(add=operator.add, sub=operator.sub, mul=operator.mul)
+    for x in product(range(3), repeat=6):
+        x1, x2, x3, x4, x5, x6 = x
+        d4 = _involution_det(ints, ((x1, x6), (x2, x5), (x3, x4)))
+        assert _F_BY_KIND["t4_12"](ints, x) == -d4
+        d3 = _involution_det(ints, ((x1, x2), (x3, x4), (x5, x6)))
+        assert _F_BY_KIND["t3_13"](ints, x) == (x1 - x2) * (x3 - x4) * (x5 - x6) * d3
+
+
+@pytest.mark.parametrize("q", [7, 8, 11])
+def test_involution_determinant_is_never_constant_zero_in_x(q):
+    # D({x,a},{b,b'},{c,c'}) = c1*x + c0; the greedy rule has no branch for
+    # c1 = c0 = 0 because distinct a, b, b', c, c' never give it
+    s = spec_for_order(q)
+    for a in s.elements():
+        rest = [v for v in s.elements() if v != a]
+        for pair2 in combinations(rest, 2):
+            for pair3 in combinations([v for v in rest if v not in pair2], 2):
+                c0 = _involution_det(s, ((0, a), pair2, pair3))
+                c1 = s.sub(_involution_det(s, ((1, a), pair2, pair3)), c0)
+                assert (c1, c0) != (0, 0), (a, pair2, pair3)
 
 
 def test_f_poly_t3_bracket_matches_block_determinant():
@@ -327,7 +368,30 @@ def test_search_accepted_set_avoids_f_zeros(certified_t46):
     values = list(code.h_row.row(1))
     spec = code.spec
     for six in combinations(values, 6):
-        assert not _zero_under_some_permutation(spec, "t4_12", six)
+        assert not zero_under_some_permutation(spec, "t4_12", six)
+
+
+@pytest.mark.parametrize("q", [7, 8, 11, 13, 16, 31, 32, 61, 64])
+def test_greedy_values_match_the_720_order_oracle(q):
+    s = spec_for_order(q)
+    for n in (6, 7, 8):
+        for seed in (0, q):
+            values = _greedy_values(s, n, seed)
+            for kind in ("t4_12", "t3_13"):
+                assert values == brute_greedy_values(s, kind, n, seed), (kind, n, seed)
+
+
+def test_search_q_found_clears_the_paper_thresholds():
+    # the smallest greedy q per n sits above both lower-bound thresholds, and
+    # (4,2) and (3,3) share the greedy rule, hence q and values
+    found_t4 = {n: first_certified(4, 2, n, 1024)[:2] for n in (6, 7, 8, 9)}
+    assert {n: q for n, (_, q) in found_t4.items()} == {6: 11, 7: 31, 8: 79, 9: 149}
+    for n, (code, q) in found_t4.items():
+        assert not q_below_t4_threshold(q, n)
+        assert not q_below_t3_threshold(q, n)
+        if n <= 8:
+            t3_code, t3_q, _ = first_certified(3, 3, n, 1024)
+            assert t3_q == q and t3_code.h_row.row(1) == code.h_row.row(1)
 
 
 def test_search_small_n_certifies_without_type_patterns():
