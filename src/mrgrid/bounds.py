@@ -52,6 +52,17 @@ def _approx(value) -> float | None:
         return None
 
 
+def _finite(x: float) -> float | None:
+    """x, or None (JSON null) when float arithmetic overflowed to inf or nan."""
+    return x if math.isfinite(x) else None
+
+
+def _need_finite(params: dict, *names):
+    for x in names:
+        if not math.isfinite(params[x]):
+            raise ValueError(f"{x} must be a finite number, got {params[x]}")
+
+
 def _need(params: dict, *names):
     missing = [x for x in names if x not in params]
     if missing:
@@ -78,9 +89,10 @@ def bound(name: str, params: dict) -> BoundReport:
             raise MissingConstant("the n^5/log n bounds need the constant C supplied")
         if n < 2:
             raise ValueError(f"the n^5/log n bounds need n >= 2, got n = {n}")
+        _need_finite(params, "C")
         c = params["C"]
         n5 = _approx(n ** 5)
-        approx = None if n5 is None else c * n5 / math.log(n)
+        approx = None if n5 is None else _finite(c * n5 / math.log(n))
         return BoundReport(name, params, {"formula": "C*n^5/log(n)", "C": c},
                            approx, "existence threshold up to the unspecified constant")
     if name == "t4_lower_threshold":
@@ -112,6 +124,7 @@ def bound(name: str, params: dict) -> BoundReport:
         nv, dr, r = _need(params, "nv", "delta_r", "r")
         if "c_r" not in params:
             raise MissingConstant("hypergraph_alpha needs the constant c_r supplied")
+        _need_finite(params, "c_r", "delta_r")
         if not (r >= 1 and 0 < dr <= nv):
             raise ValueError("hypergraph_alpha needs r >= 1 and 0 < delta_r <= nv, "
                              f"got r = {r}, delta_r = {dr}, nv = {nv}")
@@ -119,7 +132,7 @@ def bound(name: str, params: dict) -> BoundReport:
         approx = None
         if nv_float is not None:
             ratio = nv_float / dr
-            approx = c_r * (ratio * math.log(ratio)) ** (1.0 / r)
+            approx = _finite(c_r * (ratio * math.log(ratio)) ** (1.0 / r))
         return BoundReport(name, params, {"formula": "c_r*((nv/D)*log(nv/D))^(1/r)"},
                            approx, "independence number lower bound, valid for small r-degree")
     raise ValueError(f"unknown bound name {name!r}")

@@ -134,16 +134,19 @@ def is_correctable_by(code: TensorCode, e: ErasurePattern, method: str = "auto")
 
     For a = 1 codes with an all-nonzero column parity and an irreducible
     pattern, rank(H|_E) = |V_E| + rank(B) for the reduced block B, so the
-    predicate is evaluated on B; "direct" forces plain elimination on H|_E.
+    predicate is evaluated on B; a pattern that reduce_restricted rejects as
+    not irreducible, or "direct", takes plain elimination on H|_E.
     """
     if not e.cells:
         return True
     t = code.topology
-    if (method != "direct" and t.a == 1
-            and all(code.h_col[0, i] for i in range(t.m))
-            and is_irreducible(t, e)):
-        b_block = reduce_restricted(code, e)
-        return rank(b_block) == len(e.cells) - len(e.cols_used)
+    if method != "direct" and t.a == 1 and all(code.h_col[0, i] for i in range(t.m)):
+        try:
+            b_block = reduce_restricted(code, e)
+        except NotIrreducible:
+            pass
+        else:
+            return rank(b_block) == len(e.cells) - len(e.cols_used)
     h = build_pseudo_parity(code)
     restricted = h.restrict_columns(_pattern_columns(code, e))
     return rank(restricted) == len(e.cells)
@@ -266,22 +269,19 @@ def reduce_restricted(code: TensorCode, e: ErasurePattern) -> GFMatrix:
         raise NotIrreducible("empty pattern")
     spec = code.spec
     alphas = code.h_col.row(0)
-    u_rows = e.rows_used
-    block = {i: k for k, i in enumerate(u_rows)}
-    by_col: dict[int, list[int]] = {}
-    for i, j in sorted(e.cells):
-        by_col.setdefault(j, []).append(i)
+    h_cols = list(zip(*code.h_row.data))
     b = t.b
+    top = {i: k * b for k, i in enumerate(e.rows_used)}  # first row of block i
+    height = len(top) * b
     cols = []
-    for j in sorted(by_col):
-        rows_in_col = by_col[j]
-        i0 = rows_in_col[0]
-        hj = code.h_row.column(j)
-        for i in rows_in_col[1:]:
-            col = [0] * (len(u_rows) * b)
-            factor = spec.neg(spec.div(alphas[i], alphas[i0]))
-            for k in range(b):
-                col[block[i] * b + k] = hj[k]
-                col[block[i0] * b + k] = spec.mul(factor, hj[k])
-            cols.append(col)
-    return GFMatrix(spec, list(zip(*cols)) if cols else [[] for _ in range(len(u_rows) * b)])
+    j0 = None
+    for j, i in sorted((j, i) for i, j in e.cells):
+        if j != j0:  # the least erased row of column j is its pivot
+            j0, hj, top0 = j, h_cols[j], top[i]
+            neg_inv0 = spec.neg(spec.inv(alphas[i]))
+            continue
+        col = [0] * height
+        col[top[i]:top[i] + b] = hj
+        col[top0:top0 + b] = spec.scale_row(spec.mul(alphas[i], neg_inv0), hj)
+        cols.append(col)
+    return GFMatrix(spec, list(zip(*cols)) if cols else [[] for _ in range(height)])

@@ -7,7 +7,7 @@ nonzero entry in column order, so every result is deterministic.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import Inconsistent, MixedFields, RankDeficient, ResourceGuard
 from .galois import FieldSpec
@@ -20,7 +20,8 @@ class GFMatrix:
     __slots__ = ("rows", "cols", "data", "spec")
 
     def __init__(self, spec: FieldSpec, data):
-        rows = tuple(tuple(spec.validate(x) for x in row) for row in data)
+        rows = tuple(map(tuple, data))
+        spec.validate_all(chain.from_iterable(rows))
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
@@ -110,28 +111,26 @@ class GFMatrix:
 
 def _echelon(rows: list[list[int]], spec: FieldSpec, pivot_cols: int, reduced: bool):
     """In-place forward elimination; returns pivot column list."""
-    mul, sub, inv = spec.mul, spec.sub, spec.inv
+    scale_row, sub_scaled_row = spec.scale_row, spec.sub_scaled_row
     nrows = len(rows)
     pivots = []
     r = 0
     for c in range(pivot_cols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
+        for pivot in range(r, nrows):
+            if rows[pivot][c]:
+                break
+        else:
             continue
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
         prow = rows[r]
-        piv_inv = inv(prow[c])
+        piv_inv = spec.inv(prow[c])
         if piv_inv != 1:
-            rows[r] = prow = [mul(piv_inv, x) for x in prow]
-        rng = range(nrows) if reduced else range(r + 1, nrows)
-        for i in rng:
-            if i == r:
-                continue
+            rows[r] = prow = scale_row(piv_inv, prow)
+        for i in range(nrows) if reduced else range(r + 1, nrows):
             f = rows[i][c]
-            if f:
-                row_i = rows[i]
-                rows[i] = [sub(x, mul(f, y)) for x, y in zip(row_i, prow)]
+            if f and i != r:
+                rows[i] = sub_scaled_row(rows[i], f, prow)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -150,7 +149,7 @@ def determinant(m: GFMatrix) -> int:
         raise ValueError("determinant of a non-square matrix")
     spec = m.spec
     rows = [list(r) for r in m.data]
-    mul, sub, div = spec.mul, spec.sub, spec.div
+    mul, div = spec.mul, spec.div
     det = 1
     n = m.rows
     for c in range(n):
@@ -165,8 +164,7 @@ def determinant(m: GFMatrix) -> int:
         for i in range(c + 1, n):
             f = rows[i][c]
             if f:
-                ratio = div(f, p)
-                rows[i] = [sub(x, mul(ratio, y)) for x, y in zip(rows[i], rows[c])]
+                rows[i] = spec.sub_scaled_row(rows[i], div(f, p), rows[c])
     return det
 
 

@@ -130,6 +130,54 @@ def brute_orbit_masks(pt):
 
 
 # ----------------------------------------------------------------------
+# elimination oracles: one field-method call per matrix entry
+# ----------------------------------------------------------------------
+
+def brute_echelon(rows, spec, pivot_cols, reduced):
+    """gfmatrix._echelon with entry-by-entry mul/sub: same pivoting, in place."""
+    mul, sub, inv = spec.mul, spec.sub, spec.inv
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(pivot_cols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow = rows[r]
+        piv_inv = inv(prow[c])
+        if piv_inv != 1:
+            rows[r] = prow = [mul(piv_inv, x) for x in prow]
+        rng = range(nrows) if reduced else range(r + 1, nrows)
+        for i in rng:
+            if i == r:
+                continue
+            f = rows[i][c]
+            if f:
+                row_i = rows[i]
+                rows[i] = [sub(x, mul(f, y)) for x, y in zip(row_i, prow)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def leibniz_determinant(spec, rows):
+    """Sum over all permutations of sign * product of entries."""
+    n = len(rows)
+    det = 0
+    for perm in permutations(range(n)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = spec.mul(term, rows[i][j])
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        det = spec.sub(det, term) if inversions % 2 else spec.add(det, term)
+    return det
+
+
+# ----------------------------------------------------------------------
 # greedy search oracle: the rank polynomial under all 720 argument orders
 # ----------------------------------------------------------------------
 

@@ -54,6 +54,39 @@ def test_bounds_too_large_for_a_float_report_null_approx(capsys, argv):
     assert report["approx"] is None and report["value"] is not None
 
 
+def _strict_json(out):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(out, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--name", "t4_upper", "--n", "10", "--C", "1e308"],
+    ["bounds", "--name", "t3_upper", "--n", "10", "--C=-1e308"],
+    ["bounds", "--name", "hypergraph_alpha", "--nv", "10", "--delta-r", "2", "--r", "2",
+     "--c-r", "1e308"],
+])
+def test_bounds_overflow_to_infinity_reports_null_approx(capsys, argv):
+    status, out, err = invoke(capsys, argv)
+    assert status == 0 and err == ""
+    assert _strict_json(out)["report"]["approx"] is None
+
+
+@pytest.mark.parametrize("name,value", [("C", "inf"), ("C", "nan"), ("C", "-inf"),
+                                        ("c_r", "inf"), ("c_r", "nan"),
+                                        ("c_r", "-inf"), ("delta_r", "inf"), ("delta_r", "nan")])
+def test_bounds_non_finite_constants_are_usage_errors(capsys, name, value):
+    if name == "C":
+        argv = ["bounds", "--name", "t4_upper", "--n", "10", f"--C={value}"]
+    else:
+        flags = {"c_r": "1", "delta_r": "2", name: value}
+        argv = ["bounds", "--name", "hypergraph_alpha", "--nv", "10", "--r", "2",
+                f"--c-r={flags['c_r']}", f"--delta-r={flags['delta_r']}"]
+    status, out, err = invoke(capsys, argv)
+    assert status == 2 and out == ""
+    assert f"usage error: {name} must be a finite number" in err
+
+
 def test_usage_error_exit_2(capsys):
     status, _, _ = invoke(capsys, ["enumerate", "--m", "4"])
     assert status == 2

@@ -6,8 +6,10 @@ import pytest
 from mrgrid import (FieldSpec, GFMatrix, every_w_columns_independent,
                     null_space_basis, rank, solve_unique)
 from mrgrid.errors import Inconsistent, RankDeficient, ResourceGuard
-from mrgrid.gfmatrix import determinant
-from _support import spec_for_order
+from mrgrid.gfmatrix import _echelon, determinant
+from _support import brute_echelon, leibniz_determinant, spec_for_order
+
+ORACLE_ORDERS = (2, 3, 7, 8, 16, 257, 1024, 1048573)
 
 
 def test_rank_examples():
@@ -171,3 +173,106 @@ def test_matmul_and_determinant_errors():
         determinant(a)
     with pytest.raises(ValueError):
         GFMatrix(s, [[1, 2], [3]])
+
+
+def _sparse_entry(spec, rng):
+    return 0 if rng.random() < 0.3 else rng.randrange(spec.order)
+
+
+def _rank_deficient(spec, rng, nrows, ncols):
+    """A random product of nrows x r and r x ncols factors (rank <= r), with a
+    row and a column zeroed now and then."""
+    r = rng.randrange(min(nrows, ncols) + 1)
+    left = [[_sparse_entry(spec, rng) for _ in range(r)] for _ in range(nrows)]
+    right = [[_sparse_entry(spec, rng) for _ in range(ncols)] for _ in range(r)]
+    rows = [[0] * ncols for _ in range(nrows)]
+    for i, j, k in product(range(nrows), range(ncols), range(r)):
+        rows[i][j] = spec.add(rows[i][j], spec.mul(left[i][k], right[k][j]))
+    if nrows and rng.random() < 0.5:
+        rows[rng.randrange(nrows)] = [0] * ncols
+    if ncols and rng.random() < 0.5:
+        j = rng.randrange(ncols)
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+def _full_random(spec, rng, nrows, ncols):
+    return [[_sparse_entry(spec, rng) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@pytest.mark.parametrize("q", ORACLE_ORDERS)
+def test_row_primitives_match_entrywise_field_ops(q):
+    spec = spec_for_order(q)
+    rng = random.Random(q)
+    for _ in range(20):
+        n = rng.randrange(9)
+        row = [_sparse_entry(spec, rng) for _ in range(n)]
+        other = [_sparse_entry(spec, rng) for _ in range(n)]
+        for f in (0, 1, rng.randrange(1, q), rng.randrange(q)):
+            assert spec.scale_row(f, row) == [spec.mul(f, x) for x in row]
+            assert spec.sub_scaled_row(row, f, other) == [
+                spec.sub(x, spec.mul(f, y)) for x, y in zip(row, other)]
+
+
+@pytest.mark.parametrize("q", ORACLE_ORDERS)
+def test_echelon_matches_entrywise_oracle(q):
+    """Same pivots and same rows as per-entry elimination, in both modes, on
+    rank-deficient matrices with zero rows and columns and on augmented
+    systems (pivot_cols one short of the width, as solve_unique calls it)."""
+    spec = spec_for_order(q)
+    rng = random.Random(q)
+    for trial in range(96):
+        nrows, ncols = rng.randrange(1, 10), rng.randrange(1, 12)
+        make = _rank_deficient if trial % 3 else _full_random
+        rows = make(spec, rng, nrows, ncols)
+        pivot_cols = ncols - 1 if trial % 4 == 1 else ncols
+        for reduced in (False, True):
+            fast, slow = [list(r) for r in rows], [list(r) for r in rows]
+            assert (_echelon(fast, spec, pivot_cols, reduced)
+                    == brute_echelon(slow, spec, pivot_cols, reduced))
+            assert fast == slow
+        m = GFMatrix(spec, rows)
+        oracle = [list(r) for r in rows]
+        assert rank(m) == len(brute_echelon(oracle, spec, ncols, False))
+
+
+@pytest.mark.parametrize("q", ORACLE_ORDERS)
+def test_determinant_matches_leibniz(q):
+    spec = spec_for_order(q)
+    rng = random.Random(q)
+    for trial in range(30):
+        n = trial % 6
+        make = _rank_deficient if trial % 2 else _full_random
+        rows = make(spec, rng, n, n)
+        assert determinant(GFMatrix(spec, rows)) == leibniz_determinant(spec, rows)
+
+
+def _validate_message(spec, x):
+    with pytest.raises(ValueError) as exc:
+        spec.validate(x)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("q", (7, 8))
+def test_constructor_rejects_what_validate_rejects(q):
+    spec = spec_for_order(q)
+    bad = (-1, q, 1.5, "1", None)
+    for x in bad:
+        for rows in ([[x]], [[0, 1], [2, x]], [[x, 1], [2, 3]], [[1, 2, x]]):
+            with pytest.raises(ValueError) as exc:
+                GFMatrix(spec, rows)
+            assert str(exc.value) == _validate_message(spec, x)
+    # the first bad entry in row-major order names the error
+    for rows, first in (([[1, "1"], [-1, 2]], "1"), ([[0, 1], [None, q]], None),
+                        ([[1.5, -1]], 1.5), ([[0, 1, 2], [q, 3], ["1"]], q)):
+        with pytest.raises(ValueError) as exc:
+            GFMatrix(spec, rows)
+        assert str(exc.value) == _validate_message(spec, first)
+    # validate accepts bools (ints) and so does the constructor
+    m = GFMatrix(spec, [[True, 0], [False, q - 1]])
+    assert m.data == ((1, 0), (0, q - 1)) and rank(m) == 2
+    assert GFMatrix(spec, []).rows == 0 and GFMatrix(spec, [[], []]).cols == 0
+    assert GFMatrix(spec, (iter(r) for r in [[1, 2], [3, 4]])).data == ((1, 2), (3, 4))
+    with pytest.raises(ValueError, match="ragged rows"):
+        GFMatrix(spec, [[1, 2], [3]])
