@@ -2,7 +2,7 @@
 on grid-like topologies: pattern enumeration, certification, constructive
 search, and uncorrectable-pattern attacks."""
 
-from .galois import FieldElement, FieldSpec, discrete_log, field_op, primitive_element
+from .galois import FieldElement, FieldSpec, discrete_log, primitive_element
 from .gfmatrix import (GFMatrix, every_w_columns_independent, null_space_basis,
                        rank, solve_unique)
 from .patterns import (ErasurePattern, PatternType, Topology, canonical_type,
@@ -10,11 +10,11 @@ from .patterns import (ErasurePattern, PatternType, Topology, canonical_type,
 from .codes import (GridWord, TensorCode, build_pseudo_parity, decode, encode,
                     erase, is_correctable_by, reduce_restricted)
 from .mr import (AttackOutcome, CertReport, SidonWitness, attack_t3, attack_t4,
-                 certify_mr, f_poly, find_sum_collision, search_mr)
+                 certify_mr, find_sum_collision, search_mr)
 from .bounds import BoundReport, bound
 
 __all__ = [
-    "FieldElement", "FieldSpec", "discrete_log", "field_op", "primitive_element",
+    "FieldElement", "FieldSpec", "discrete_log", "primitive_element",
     "GFMatrix", "every_w_columns_independent", "null_space_basis", "rank",
     "solve_unique",
     "ErasurePattern", "PatternType", "Topology", "canonical_type",
@@ -22,7 +22,7 @@ __all__ = [
     "GridWord", "TensorCode", "build_pseudo_parity", "decode", "encode", "erase",
     "is_correctable_by", "reduce_restricted",
     "AttackOutcome", "CertReport", "SidonWitness", "attack_t3", "attack_t4",
-    "certify_mr", "f_poly", "find_sum_collision", "search_mr",
+    "certify_mr", "find_sum_collision", "search_mr",
     "BoundReport", "bound",
 ]
 

@@ -16,7 +16,7 @@ import sys
 from . import bounds as bounds_mod
 from .codes import GridWord, TensorCode, decode
 from .errors import MrGridError
-from .galois import prime_powers_upto, spec_for_order
+from .galois import ORDER_CAP, prime_powers_upto, spec_for_order
 from .mr import attack_t3, attack_t4, certify_mr, search_mr
 from .patterns import enumerate_types
 
@@ -82,17 +82,15 @@ def _cmd_certify(args) -> tuple[int, dict]:
 
 
 def _cmd_search(args) -> tuple[int, dict]:
+    if args.q_max > ORDER_CAP:
+        raise ValueError(f"--q-max {args.q_max} exceeds the field order cap {ORDER_CAP}")
     progress = []
     found = None
     q_found = None
     for q in prime_powers_upto(args.q_max):
         if q < args.q_min:
             continue
-        try:
-            spec = spec_for_order(q)
-        except ValueError:
-            continue
-        code = search_mr(args.m, args.b, args.n, spec,
+        code = search_mr(args.m, args.b, args.n, spec_for_order(q),
                          strategy=args.strategy, seed=args.seed,
                          budget=args.budget, instantiation_cap=args.cap)
         progress.append({"q": q, "strategy": args.strategy,
@@ -102,6 +100,8 @@ def _cmd_search(args) -> tuple[int, dict]:
             found = code
             q_found = q
             break
+    if not progress:
+        raise ValueError(f"no supported field order in [{args.q_min}, {args.q_max}]")
     report = {"schema": SCHEMA, "command": "search",
               "m": args.m, "b": args.b, "n": args.n, "seed": args.seed,
               "progress": progress, "q_found": q_found,
@@ -126,14 +126,11 @@ def _cmd_decode(args) -> tuple[int, dict]:
                "grid": [list(row) for row in grid]}
 
 
+_BOUND_PARAMS = ("m", "b", "n", "N", "nv", "delta_r", "r", "C", "c_r")
+
+
 def _cmd_bounds(args) -> tuple[int, dict]:
-    dests = {"m": "m", "b": "b", "n": "n", "N": "big_n", "nv": "nv",
-             "delta_r": "delta_r", "r": "r", "C": "const_c", "c_r": "c_r"}
-    params = {}
-    for key, dest in dests.items():
-        v = getattr(args, dest, None)
-        if v is not None:
-            params[key] = v
+    params = {k: getattr(args, k) for k in _BOUND_PARAMS if getattr(args, k) is not None}
     report = bounds_mod.bound(args.name, params)
     return 0, {"schema": SCHEMA, "command": "bounds", "report": report.to_dict()}
 
@@ -172,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--q-min", type=int, default=2)
-    sp.add_argument("--q-max", type=int, required=True)
+    sp.add_argument("--q-max", type=int, required=True,
+                    help=f"largest field order tried, at most {ORDER_CAP}")
     sp.add_argument("--strategy", choices=("greedy_indep", "random"), default="greedy_indep")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--budget", type=int, default=200)
@@ -194,12 +192,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int)
     sp.add_argument("--b", type=int)
     sp.add_argument("--n", type=int)
-    sp.add_argument("--N", dest="big_n", type=int)
+    sp.add_argument("--N", type=int)
     sp.add_argument("--nv", type=int)
-    sp.add_argument("--delta-r", dest="delta_r", type=float)
+    # argparse reads a separate "-1e3" as an option, so the help names the "=" form
+    sp.add_argument("--delta-r", type=float,
+                    help="a negative exponent form needs '=': --delta-r=-1e3")
     sp.add_argument("--r", type=int)
-    sp.add_argument("--C", dest="const_c", type=float)
-    sp.add_argument("--c-r", dest="c_r", type=float)
+    sp.add_argument("--C", type=float, help="a negative exponent form needs '=': --C=-1e3")
+    sp.add_argument("--c-r", type=float, help="a negative exponent form needs '=': --c-r=-1e3")
     sp.set_defaults(func=_cmd_bounds)
     return p
 

@@ -51,9 +51,6 @@ class TensorCode:
         ones = GFMatrix(h_row.spec, [[1] * topology.m])
         return cls(topology, ones, h_row)
 
-    def cell_index(self, i: int, j: int) -> int:
-        return i * self.topology.n + j
-
     def to_dict(self) -> dict:
         t = self.topology
         return {"field": self.spec.to_dict(), "m": t.m, "n": t.n, "a": t.a, "b": t.b,
@@ -135,12 +132,15 @@ def is_correctable_by(code: TensorCode, e: ErasurePattern, method: str = "auto")
     For a = 1 codes with an all-nonzero column parity and an irreducible
     pattern, rank(H|_E) = |V_E| + rank(B) for the reduced block B, so the
     predicate is evaluated on B; a pattern that reduce_restricted rejects as
-    not irreducible, or "direct", takes plain elimination on H|_E.
+    not irreducible, or method="direct", takes plain elimination on H|_E.
+    method is "auto" or "direct".
     """
+    if method not in ("auto", "direct"):
+        raise ValueError(f"unknown method {method!r}")
     if not e.cells:
         return True
     t = code.topology
-    if method != "direct" and t.a == 1 and all(code.h_col[0, i] for i in range(t.m)):
+    if method == "auto" and t.a == 1 and all(code.h_col[0, i] for i in range(t.m)):
         try:
             b_block = reduce_restricted(code, e)
         except NotIrreducible:
@@ -156,8 +156,10 @@ def encode(code: TensorCode, message) -> GridWord:
     """Systematic encoding: message fills the first (m-a) x (n-b) cells.
 
     The information set is U x V with U the first m-a rows and V the first
-    n-b columns (parity positions last); the remaining cells are the unique
-    completion satisfying every row and column parity.
+    n-b columns (parity positions last); the remaining cells are erased and
+    decoded, which gives the unique completion satisfying every row and
+    column parity.  When U x V is not an information set of the code,
+    decode's Uncorrectable or InconsistentWord propagates.
     """
     t = code.topology
     spec = code.spec
@@ -172,27 +174,10 @@ def encode(code: TensorCode, message) -> GridWord:
     ku, kv = t.m - t.a, t.n - t.b
     if len(msg) != ku * kv:
         raise DimensionMismatch(f"message length must be {ku * kv}")
-    h = build_pseudo_parity(code)
-    info = [(i, j) for i in range(ku) for j in range(kv)]
-    parity = [(i, j) for i in range(t.m) for j in range(t.n)
-              if not (i < ku and j < kv)]
-    known = {cell: msg[k] for k, cell in enumerate(info)}
-    rhs = []
-    for hrow in h.data:
-        acc = 0
-        for (i, j), val in known.items():
-            c = hrow[i * t.n + j]
-            if c and val:
-                acc = spec.add(acc, spec.mul(c, val))
-        rhs.append(spec.neg(acc))
-    sub = h.restrict_columns([i * t.n + j for i, j in parity])
-    sol = solve_unique(sub, rhs)
-    grid = [[0] * t.n for _ in range(t.m)]
-    for (i, j), val in known.items():
-        grid[i][j] = val
-    for (i, j), val in zip(parity, sol):
-        grid[i][j] = val
-    return GridWord.of(grid, erased=())
+    symbols = iter(msg)
+    grid = [[next(symbols) if i < ku and j < kv else None for j in range(t.n)]
+            for i in range(t.m)]
+    return GridWord.of(decode(code, GridWord.of(grid)), erased=())
 
 
 def erase(word: GridWord, e: ErasurePattern) -> GridWord:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DivisionByZero, MixedFields, ZeroHasNoLog
+from .errors import DivisionByZero, ZeroHasNoLog
 
 ORDER_CAP = 1 << 20
 
@@ -239,9 +239,10 @@ class FieldSpec:
 
 def prime_powers_upto(limit: int):
     """Yield, in increasing order, the orders q <= limit that spec_for_order
-    accepts: the primes and the powers of two."""
-    for q in range(2, limit + 1):
-        if q & (q - 1) == 0 or _is_prime(q):
+    accepts: the primes up to ORDER_CAP and the powers of two with a default
+    modulus (up to 2^16)."""
+    for q in range(2, min(limit, ORDER_CAP) + 1):
+        if (q & (q - 1) == 0 and q.bit_length() - 1 in PRIMITIVE_POLY) or _is_prime(q):
             yield q
 
 
@@ -261,36 +262,6 @@ class FieldElement:
 
     def __post_init__(self):
         self.spec.validate(self.value)
-
-
-_UNARY = {"neg", "inv"}
-_BINARY = {"add", "sub", "mul", "div", "pow"}
-
-
-def field_op(spec: FieldSpec, op: str, operands) -> FieldElement:
-    """Apply a named field operation to FieldElements belonging to spec.
-
-    For "pow" the second operand may be a plain int exponent.
-    """
-    vals = []
-    for x in operands:
-        if isinstance(x, FieldElement):
-            if x.spec != spec:
-                raise MixedFields(f"operand from {x.spec} used in {spec}")
-            vals.append(x.value)
-        else:
-            vals.append(x)
-    if op in _UNARY:
-        if len(vals) != 1:
-            raise ValueError(f"{op} takes one operand")
-        return FieldElement(getattr(spec, op)(spec.validate(vals[0])), spec)
-    if op not in _BINARY:
-        raise ValueError(f"unknown operation {op!r}")
-    if len(vals) != 2:
-        raise ValueError(f"{op} takes two operands")
-    if op == "pow":
-        return FieldElement(spec.pow(spec.validate(vals[0]), vals[1]), spec)
-    return FieldElement(getattr(spec, op)(spec.validate(vals[0]), spec.validate(vals[1])), spec)
 
 
 def primitive_element(spec: FieldSpec) -> FieldElement:

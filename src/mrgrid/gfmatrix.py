@@ -48,9 +48,6 @@ class GFMatrix:
     def row(self, i: int):
         return self.data[i]
 
-    def column(self, j: int):
-        return tuple(r[j] for r in self.data)
-
     def transpose(self) -> "GFMatrix":
         return GFMatrix(self.spec, list(zip(*self.data)) if self.data else [])
 
@@ -142,30 +139,6 @@ def rank(m: GFMatrix) -> int:
     """Rank over GF(q) via exact Gaussian elimination."""
     rows = [list(r) for r in m.data]
     return len(_echelon(rows, m.spec, m.cols, reduced=False))
-
-
-def determinant(m: GFMatrix) -> int:
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    spec = m.spec
-    rows = [list(r) for r in m.data]
-    mul, div = spec.mul, spec.div
-    det = 1
-    n = m.rows
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c]), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = spec.neg(det)
-        p = rows[c][c]
-        det = mul(det, p)
-        for i in range(c + 1, n):
-            f = rows[i][c]
-            if f:
-                rows[i] = spec.sub_scaled_row(rows[i], div(f, p), rows[c])
-    return det
 
 
 def solve_unique(m: GFMatrix, rhs):

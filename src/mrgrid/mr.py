@@ -1,11 +1,11 @@
 """MR certification, constructive row-code search, and lower-bound attacks.
 
 The two supported attack topologies are T_{4xn}(1,2,0) and T_{3xn}(1,3,0).
-Their pattern types are fixed six-column masks; the rank-condition
-polynomials below are the determinants of the reduced pseudo-parity blocks,
-so "f vanishes" is exactly "the pattern is uncorrectable" for the column
-assignment used here.  Every attack validates its output by an independent
-rank computation before returning.
+Their pattern types are fixed six-column masks, and a mask placed on six
+columns is uncorrectable exactly when the determinant of its reduced
+pseudo-parity block (the paper's rank-condition polynomial f) vanishes.
+Every attack validates its output by an independent rank computation before
+returning.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from itertools import combinations
 from math import comb
 
 from .codes import TensorCode, build_pseudo_parity, is_correctable_by
-from .errors import MixedFields, NotMds, ResourceGuard
-from .galois import FieldElement, FieldSpec, discrete_log, primitive_element
+from .errors import NotMds, ResourceGuard
+from .galois import FieldSpec, discrete_log, primitive_element
 from .gfmatrix import GFMatrix, every_w_columns_independent, rank
 from .patterns import (ErasurePattern, Topology, enumerate_types, row_class_masks,
                        type_orbit_masks)
@@ -85,57 +85,6 @@ class AttackOutcome:
 
 
 # ----------------------------------------------------------------------
-# rank-condition polynomials
-# ----------------------------------------------------------------------
-
-def _f_t4(spec: FieldSpec, x) -> int:
-    sub, mul = spec.sub, spec.mul
-    t1 = mul(mul(sub(x[0], x[3]), sub(x[1], x[5])), sub(x[2], x[4]))
-    t2 = mul(mul(sub(x[1], x[3]), sub(x[0], x[4])), sub(x[2], x[5]))
-    return sub(t1, t2)
-
-
-def _f_t3(spec: FieldSpec, x) -> int:
-    sub, mul = spec.sub, spec.mul
-    lead = mul(sub(x[0], x[1]), sub(x[2], x[3]))
-    if lead == 0:
-        return 0
-    p1 = mul(mul(sub(x[0], x[5]), sub(x[1], x[5])), mul(sub(x[2], x[4]), sub(x[3], x[4])))
-    p2 = mul(mul(sub(x[0], x[4]), sub(x[1], x[4])), mul(sub(x[2], x[5]), sub(x[3], x[5])))
-    return mul(lead, sub(p1, p2))
-
-
-_F_BY_KIND = {"t4_12": _f_t4, "t3_13": _f_t3}
-
-
-def f_poly(topology_kind: str, args) -> FieldElement:
-    """Rank-condition polynomial for the six-column pattern of the topology.
-
-    t4_12: (x1-x4)(x2-x6)(x3-x5) - (x2-x4)(x1-x5)(x3-x6).
-    t3_13: (x1-x2)(x3-x4)[(x1-x6)(x2-x6)(x3-x5)(x4-x5)
-                          - (x1-x5)(x2-x5)(x3-x6)(x4-x6)].
-    """
-    if topology_kind not in _F_BY_KIND:
-        raise ValueError(f"unknown topology kind {topology_kind!r}")
-    if len(args) != 6:
-        raise ValueError("f takes six arguments")
-    spec = args[0].spec if isinstance(args[0], FieldElement) else None
-    vals = []
-    for x in args:
-        if isinstance(x, FieldElement):
-            if spec is None:
-                spec = x.spec
-            elif x.spec != spec:
-                raise MixedFields("f arguments from different fields")
-            vals.append(x.value)
-        else:
-            vals.append(x)
-    if spec is None:
-        raise ValueError("at least one argument must carry a FieldSpec")
-    return FieldElement(_F_BY_KIND[topology_kind](spec, vals), spec)
-
-
-# ----------------------------------------------------------------------
 # Sidon machinery
 # ----------------------------------------------------------------------
 
@@ -160,17 +109,6 @@ def find_sum_collision(exponents, modulus: int) -> SidonWitness | None:
                                 pairing=((t1, t6), (t2, t5), (t3, t4)),
                                 modulus=modulus)
     return None
-
-
-def is_two_sidon(subset, modulus: int) -> bool:
-    """Definition check: every pair sum shared by at most one other pair."""
-    counts: dict[int, int] = {}
-    for a, b in combinations(sorted(set(subset)), 2):
-        s = (a + b) % modulus
-        counts[s] = counts.get(s, 0) + 1
-        if counts[s] > 2:
-            return False
-    return True
 
 
 # ----------------------------------------------------------------------

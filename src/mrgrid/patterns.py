@@ -95,9 +95,6 @@ class PatternType:
     v: int
     mask: tuple  # tuple of row tuples
 
-    def cells(self):
-        return [(i, j) for i in range(self.u) for j in range(self.v) if self.mask[i][j]]
-
     def weight(self) -> int:
         return sum(sum(row) for row in self.mask)
 
@@ -205,11 +202,6 @@ def canonical_type(e: ErasurePattern) -> PatternType:
         if best is None or mask < best:
             best = mask
     return PatternType(u, v, best)
-
-
-def _mask_pattern(mask) -> ErasurePattern:
-    return ErasurePattern.of((i, j) for i, row in enumerate(mask)
-                             for j, x in enumerate(row) if x)
 
 
 def enumerate_types(m: int, b: int, cap: int = ENUMERATION_GUARD) -> list[PatternType]:

@@ -5,7 +5,6 @@ import time
 from itertools import combinations, combinations_with_replacement, permutations
 
 from mrgrid import ErasurePattern, GFMatrix, TensorCode, Topology, search_mr
-from mrgrid.mr import _F_BY_KIND
 # the field-order sweeps of the tests are the ones the CLI search uses
 from mrgrid.galois import prime_powers_upto, spec_for_order
 
@@ -178,11 +177,35 @@ def leibniz_determinant(spec, rows):
 
 
 # ----------------------------------------------------------------------
-# greedy search oracle: the rank polynomial under all 720 argument orders
+# the paper's rank-condition polynomials on raw ints, and the greedy search
+# oracle: the rank polynomial under all 720 argument orders
 # ----------------------------------------------------------------------
 
+def f_t4(spec, x) -> int:
+    """T_{4xn}(1,2,0): (x1-x4)(x2-x6)(x3-x5) - (x2-x4)(x1-x5)(x3-x6)."""
+    sub, mul = spec.sub, spec.mul
+    t1 = mul(mul(sub(x[0], x[3]), sub(x[1], x[5])), sub(x[2], x[4]))
+    t2 = mul(mul(sub(x[1], x[3]), sub(x[0], x[4])), sub(x[2], x[5]))
+    return sub(t1, t2)
+
+
+def f_t3(spec, x) -> int:
+    """T_{3xn}(1,3,0): (x1-x2)(x3-x4)[(x1-x6)(x2-x6)(x3-x5)(x4-x5)
+    - (x1-x5)(x2-x5)(x3-x6)(x4-x6)]."""
+    sub, mul = spec.sub, spec.mul
+    lead = mul(sub(x[0], x[1]), sub(x[2], x[3]))
+    if lead == 0:
+        return 0
+    p1 = mul(mul(sub(x[0], x[5]), sub(x[1], x[5])), mul(sub(x[2], x[4]), sub(x[3], x[4])))
+    p2 = mul(mul(sub(x[0], x[4]), sub(x[1], x[4])), mul(sub(x[2], x[5]), sub(x[3], x[5])))
+    return mul(lead, sub(p1, p2))
+
+
+F_BY_KIND = {"t4_12": f_t4, "t3_13": f_t3}
+
+
 def zero_under_some_permutation(spec, kind, values) -> bool:
-    f = _F_BY_KIND[kind]
+    f = F_BY_KIND[kind]
     for perm in permutations(values):
         if f(spec, perm) == 0:
             return True
@@ -204,6 +227,17 @@ def brute_greedy_values(spec, kind, n, seed):
             continue
         accepted.append(x)
     return accepted if len(accepted) >= n else None
+
+
+def is_two_sidon(subset, modulus: int) -> bool:
+    """Definition check: every pair sum shared by at most one other pair."""
+    counts: dict[int, int] = {}
+    for a, b in combinations(sorted(set(subset)), 2):
+        s = (a + b) % modulus
+        counts[s] = counts.get(s, 0) + 1
+        if counts[s] > 2:
+            return False
+    return True
 
 
 def max_two_sidon(N: int) -> int:

@@ -5,7 +5,7 @@ import pytest
 from mrgrid import FieldSpec, GFMatrix, TensorCode, Topology, encode, erase
 from mrgrid.cli import run
 from mrgrid.patterns import ErasurePattern
-from _support import simple_code
+from _support import is_two_sidon, simple_code
 
 
 def invoke(capsys, argv):
@@ -87,6 +87,14 @@ def test_bounds_non_finite_constants_are_usage_errors(capsys, name, value):
     assert f"usage error: {name} must be a finite number" in err
 
 
+def test_bounds_negative_exponent_form_parses_with_equals(capsys):
+    # a separate "-1e3" reads as an option to argparse; the help names this form
+    _, spaced, _ = invoke(capsys, ["bounds", "--name", "t4_upper", "--n", "10", "--C", "-1000"])
+    status, out, err = invoke(capsys, ["bounds", "--name", "t4_upper", "--n", "10", "--C=-1e3"])
+    assert status == 0 and err == "" and out == spaced
+    assert json.loads(out)["report"]["params"] == {"C": -1000.0, "n": 10}
+
+
 def test_usage_error_exit_2(capsys):
     status, _, _ = invoke(capsys, ["enumerate", "--m", "4"])
     assert status == 2
@@ -126,6 +134,16 @@ def test_search_and_certify_roundtrip(tmp_path, capsys):
     assert json.loads(out)["report"]["verdict"] == "certified"
 
 
+@pytest.mark.parametrize("q_min,q_max", [("2000000", "2000100"), ("131072", "131072"),
+                                         ("24", "25")])
+def test_search_without_supported_orders_is_usage_error(capsys, q_min, q_max):
+    # orders above the cap, GF(2^17) and GF(25) are fields search cannot build
+    status, out, err = invoke(capsys, ["search", "--m", "4", "--b", "2", "--n", "6",
+                                       "--q-min", q_min, "--q-max", q_max])
+    assert status == 2 and out == ""
+    assert "usage error" in err
+
+
 def test_search_not_found_exit_1(capsys):
     status, out, _ = invoke(capsys, ["search", "--m", "4", "--b", "2", "--n", "6",
                                      "--q-max", "5"])
@@ -160,7 +178,6 @@ def test_attack_command(tmp_path, capsys):
     assert outcome["witness"]["pairing"]
     # a code whose ratio exponents form a 2-Sidon set yields no witness: exit 1
     from mrgrid import primitive_element
-    from mrgrid.mr import is_two_sidon
     s32 = FieldSpec(2, 5)
     exps = []
     for x in range(31):

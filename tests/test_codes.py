@@ -92,6 +92,42 @@ def test_encode_satisfies_all_parities():
                     k += 1
 
 
+def test_encode_outside_an_information_set_raises_decode_errors():
+    # C_row = {x : x0 + x1 = 0} leaves x2 free, so the first two columns are
+    # not an information set: encode is decode of the parity cells and fails
+    s = FieldSpec(7)
+    code = TensorCode(Topology(2, 3, 1, 1), GFMatrix(s, [[1, 1]]), GFMatrix(s, [[1, 1, 0]]))
+    with pytest.raises(Uncorrectable):
+        encode(code, [1, 6])
+    with pytest.raises(InconsistentWord):
+        encode(code, [1, 1])
+    # random codes: encode succeeds exactly when the parity cells are correctable
+    rng = random.Random(11)
+    outcomes = []
+    while len(outcomes) < 60:
+        s = spec_for_order(rng.choice((3, 4, 5)))
+        m, n, a, b = rng.choice(((3, 4, 1, 2), (3, 4, 2, 1), (2, 5, 1, 3)))
+        try:
+            code = TensorCode(Topology(m, n, a, b),
+                              GFMatrix(s, [[rng.randrange(s.order) for _ in range(m)]
+                                           for _ in range(a)]),
+                              GFMatrix(s, [[rng.randrange(s.order) for _ in range(n)]
+                                           for _ in range(b)]))
+        except ValueError:  # a parity matrix without full row rank
+            continue
+        parity = ErasurePattern.of((i, j) for i in range(m) for j in range(n)
+                                   if i >= m - a or j >= n - b)
+        msg = [rng.randrange(s.order) for _ in range((m - a) * (n - b))]
+        try:
+            encode(code, msg)
+            encoded = True
+        except (Uncorrectable, InconsistentWord):
+            encoded = False
+        assert encoded == is_correctable_by(code, parity, method="direct")
+        outcomes.append(encoded)
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
 def test_decode_no_erasures_verbatim_and_inconsistent():
     s = FieldSpec(7)
     code = simple_code(s, 3, 4, 1, [1, 2, 3, 4])
@@ -160,6 +196,14 @@ def test_is_correctable_examples():
     pattern = mask_pattern(TYPE_II_MASK)
     assert not is_correctable_by(bad, pattern)
     assert not is_correctable_by(bad, pattern, method="direct")
+
+
+def test_is_correctable_by_rejects_unknown_method():
+    code = simple_code(FieldSpec(11), 3, 5, 2, [1, 2, 3, 4, 5])
+    one_col = ErasurePattern.of((i, 2) for i in range(3))
+    for method in ("Direct", "nonsense", "", None):
+        with pytest.raises(ValueError, match="unknown method"):
+            is_correctable_by(code, one_col, method=method)
 
 
 def test_is_correctable_methods_agree():

@@ -1,8 +1,9 @@
 import pytest
 
-from mrgrid import FieldElement, FieldSpec, discrete_log, field_op, primitive_element
-from mrgrid.errors import DivisionByZero, MixedFields, ZeroHasNoLog
-from _support import prime_powers_upto, _is_prime
+from mrgrid import FieldElement, FieldSpec, discrete_log, primitive_element
+from mrgrid.errors import DivisionByZero, ZeroHasNoLog
+from mrgrid.galois import ORDER_CAP
+from _support import prime_powers_upto, spec_for_order, _is_prime
 
 
 def schoolbook_gf2k_mul(a, b, modulus, k):
@@ -85,6 +86,22 @@ def test_discrete_log_bijection_and_homomorphism(p, k):
             assert lhs == (discrete_log(s, x, base) + discrete_log(s, y, base)) % n
 
 
+def test_prime_powers_upto_yields_exactly_the_supported_orders():
+    def supported(q):
+        try:
+            spec_for_order(q)
+        except ValueError:
+            return False
+        return True
+
+    assert list(prime_powers_upto(600)) == [q for q in range(601) if supported(q)]
+    # GF(2^k) for k > 16 has no default modulus; orders above ORDER_CAP are refused
+    orders = list(prime_powers_upto(1 << 18))
+    assert [q for q in orders if q & (q - 1) == 0] == [1 << k for k in range(1, 17)]
+    assert all(supported(q) for q in orders[-3:])
+    assert not supported(1 << 17) and not supported(ORDER_CAP + 1)
+
+
 def test_field_axioms_exhaustive_upto_64():
     orders = [q for q in prime_powers_upto(64)
               if _is_prime(q) or q & (q - 1) == 0]
@@ -104,20 +121,6 @@ def test_field_axioms_exhaustive_upto_64():
                 for z in els:
                     assert s.mul(xy, z) == s.mul(x, s.mul(y, z))
                     assert s.mul(x, s.add(y, z)) == s.add(xy, s.mul(x, z))
-
-
-def test_field_op_dispatch_and_errors():
-    s = FieldSpec(7)
-    a, b = FieldElement(3, s), FieldElement(5, s)
-    assert field_op(s, "mul", [a, b]).value == 1
-    assert field_op(s, "pow", [a, 6]).value == 1
-    assert field_op(s, "neg", [a]).value == 4
-    with pytest.raises(DivisionByZero):
-        field_op(s, "inv", [FieldElement(0, s)])
-    with pytest.raises(MixedFields):
-        field_op(s, "add", [a, FieldElement(1, FieldSpec(5))])
-    with pytest.raises(ValueError):
-        field_op(s, "xor", [a, b])
 
 
 def test_spec_validation():
@@ -144,6 +147,8 @@ def test_spec_json_roundtrip():
 
 def test_pow_negative_exponent_and_orders():
     s = FieldSpec(7)
+    with pytest.raises(DivisionByZero):
+        s.inv(0)
     assert s.pow(3, -1) == s.inv(3)
     assert s.pow(3, -2) == s.mul(s.inv(3), s.inv(3))
     assert s.element_order(1) == 1

@@ -5,44 +5,38 @@ from types import SimpleNamespace
 
 import pytest
 
-from mrgrid import (ErasurePattern, FieldElement, FieldSpec, GFMatrix,
+from mrgrid import (ErasurePattern, FieldSpec, GFMatrix,
                     TensorCode, Topology, attack_t3, attack_t4, build_pseudo_parity,
-                    certify_mr, f_poly, find_sum_collision, is_correctable_by,
+                    certify_mr, find_sum_collision, is_correctable_by,
                     is_irreducible, is_regular, rank, reduce_restricted, search_mr)
 from mrgrid.bounds import q_below_t3_threshold, q_below_t4_threshold
-from mrgrid.errors import MixedFields, NotMds, ResourceGuard
-from mrgrid.gfmatrix import determinant
-from mrgrid.mr import (_F_BY_KIND, E0_MASK, TYPE_II_MASK, _disjoint_edges, _greedy_values,
-                       is_two_sidon)
-from _support import (brute_greedy_values, first_certified, mask_pattern, random_mds_rows,
-                      simple_code, spec_for_order, zero_under_some_permutation)
-
-
-def fe(spec, vals):
-    return [FieldElement(v, spec) for v in vals]
+from mrgrid.errors import NotMds, ResourceGuard
+from mrgrid.mr import E0_MASK, TYPE_II_MASK, _disjoint_edges, _greedy_values
+from _support import (brute_greedy_values, f_t3, f_t4, first_certified, is_two_sidon,
+                      leibniz_determinant, mask_pattern, random_mds_rows, simple_code,
+                      spec_for_order, zero_under_some_permutation)
 
 
 # ----------------------------------------------------------------------
-# f_poly
+# the rank-condition polynomials (raw-int oracles in _support)
 # ----------------------------------------------------------------------
 
 def test_f_poly_t4_examples():
     s = FieldSpec(7)
-    assert f_poly("t4_12", fe(s, [1, 3, 2, 6, 4, 5])).value == 0
+    assert f_t4(s, [1, 3, 2, 6, 4, 5]) == 0
     # x3 = x5 = x6 kills both products
-    assert f_poly("t4_12", fe(s, [1, 2, 4, 3, 4, 4])).value == 0
+    assert f_t4(s, [1, 2, 4, 3, 4, 4]) == 0
     # an arithmetic progression has equal pair sums and is always a zero
-    assert f_poly("t4_12", fe(s, [0, 1, 2, 3, 4, 5])).value == 0
-    assert f_poly("t4_12", fe(s, [0, 1, 2, 3, 4, 6])).value != 0
+    assert f_t4(s, [0, 1, 2, 3, 4, 5]) == 0
+    assert f_t4(s, [0, 1, 2, 3, 4, 6]) != 0
 
 
 def test_f_poly_t3_examples_and_errors():
     s = FieldSpec(13)
-    assert f_poly("t3_13", fe(s, [2, 2, 3, 4, 5, 6])).value == 0
-    with pytest.raises(MixedFields):
-        f_poly("t4_12", fe(s, [1, 2, 3, 4, 5]) + fe(FieldSpec(7), [1]))
-    with pytest.raises(ValueError):
-        f_poly("t9", fe(s, [1, 2, 3, 4, 5, 6]))
+    assert f_t3(s, [2, 2, 3, 4, 5, 6]) == 0
+    # x5 = x6 makes the bracket vanish; swapping x5 and x6 negates it
+    assert f_t3(s, [0, 1, 2, 3, 4, 4]) == 0
+    assert f_t3(s, [0, 1, 2, 3, 4, 6]) == s.neg(f_t3(s, [0, 1, 2, 3, 6, 4])) != 0
 
 
 def test_f_poly_t4_is_the_type2_rank_determinant():
@@ -54,7 +48,7 @@ def test_f_poly_t4_is_the_type2_rank_determinant():
     for _ in range(250):
         a = rng.sample(range(17), 6)
         code = simple_code(s, 4, 6, 2, a)
-        f = f_poly("t4_12", fe(s, a)).value
+        f = f_t4(s, a)
         assert (rank(reduce_restricted(code, pattern)) == 6) == (f != 0)
         zeros += f == 0
     assert zeros > 0
@@ -70,7 +64,7 @@ def test_f_poly_t3_is_the_e0_rank_determinant():
         for _ in range(300):
             a = rng.sample(range(q), 6)
             code = simple_code(s, 3, 6, 3, a)
-            f = f_poly("t3_13", fe(s, a)).value
+            f = f_t3(s, a)
             assert (rank(reduce_restricted(code, pattern)) == 6) == (f != 0)
             zeros += f == 0
         assert zeros > 0, q
@@ -94,9 +88,9 @@ def test_rank_polynomials_are_involution_determinants():
     for x in product(range(3), repeat=6):
         x1, x2, x3, x4, x5, x6 = x
         d4 = _involution_det(ints, ((x1, x6), (x2, x5), (x3, x4)))
-        assert _F_BY_KIND["t4_12"](ints, x) == -d4
+        assert f_t4(ints, x) == -d4
         d3 = _involution_det(ints, ((x1, x2), (x3, x4), (x5, x6)))
-        assert _F_BY_KIND["t3_13"](ints, x) == (x1 - x2) * (x3 - x4) * (x5 - x6) * d3
+        assert f_t3(ints, x) == (x1 - x2) * (x3 - x4) * (x5 - x6) * d3
 
 
 @pytest.mark.parametrize("q", [7, 8, 11])
@@ -121,14 +115,14 @@ def test_f_poly_t3_bracket_matches_block_determinant():
         for _ in range(200):
             a = rng.sample(range(q), 6)
             sq = [s.mul(x, x) for x in a]
-            block = GFMatrix(s, [
+            block = [
                 [s.sub(a[1], a[0]), 0, s.sub(a[0], a[4]), s.sub(a[0], a[5])],
                 [s.sub(sq[1], sq[0]), 0, s.sub(sq[0], sq[4]), s.sub(sq[0], sq[5])],
                 [0, s.sub(a[3], a[2]), s.sub(a[4], a[2]), s.sub(a[5], a[2])],
                 [0, s.sub(sq[3], sq[2]), s.sub(sq[4], sq[2]), s.sub(sq[5], sq[2])],
-            ])
-            det = determinant(block)
-            f = f_poly("t3_13", fe(s, a)).value
+            ]
+            det = leibniz_determinant(s, block)
+            f = f_t3(s, a)
             assert (det == 0) == (f == 0)
 
 
@@ -421,14 +415,6 @@ def test_search_rejects_unknown_shapes():
         search_mr(5, 2, 6, FieldSpec(11), strategy="greedy_indep")
     with pytest.raises(ValueError):
         search_mr(4, 2, 6, FieldSpec(11), strategy="annealing")
-
-
-def test_f_poly_accepts_mixed_raw_ints():
-    s = FieldSpec(7)
-    args = [FieldElement(1, s), 3, 2, 6, 4, 5]
-    assert f_poly("t4_12", args).value == 0
-    with pytest.raises(ValueError):
-        f_poly("t4_12", [1, 2, 3, 4, 5, 6])
 
 
 def test_certify_dedupe_with_unused_grid_rows():
