@@ -87,9 +87,7 @@ def _cmd_search(args) -> tuple[int, dict]:
     progress = []
     found = None
     q_found = None
-    for q in prime_powers_upto(args.q_max):
-        if q < args.q_min:
-            continue
+    for q in prime_powers_upto(args.q_min, args.q_max):
         code = search_mr(args.m, args.b, args.n, spec_for_order(q),
                          strategy=args.strategy, seed=args.seed,
                          budget=args.budget, instantiation_cap=args.cap)
@@ -112,7 +110,7 @@ def _cmd_search(args) -> tuple[int, dict]:
 def _cmd_attack(args) -> tuple[int, dict]:
     code = TensorCode.from_dict(_load_json(args.code))
     attack = attack_t4 if args.topology == "t4" else attack_t3
-    outcome = attack(code.h_row)
+    outcome = attack(code)
     report = {"schema": SCHEMA, "command": "attack", "topology": args.topology,
               "outcome": outcome.to_dict() if outcome else None}
     return (0 if outcome else 1), report

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (DimensionMismatch, Inconsistent, InconsistentWord,
-                     MixedFields, NotIrreducible, RankDeficient, Uncorrectable,
-                     UnsupportedGlobalParities)
+                     NotIrreducible, RankDeficient, Uncorrectable)
 from .galois import FieldSpec
 from .gfmatrix import GFMatrix, rank, solve_unique
 from .patterns import ErasurePattern, Topology, is_irreducible
@@ -97,8 +96,6 @@ class GridWord:
 def build_pseudo_parity(code: TensorCode) -> GFMatrix:
     """The (a*n + b*m) x (m*n) matrix of all row and column parity constraints."""
     t = code.topology
-    if t.h != 0:
-        raise UnsupportedGlobalParities("pseudo-parity matrix requires h = 0")
     m, n, a, b = t.m, t.n, t.a, t.b
     spec = code.spec
     rows = []
@@ -163,14 +160,7 @@ def encode(code: TensorCode, message) -> GridWord:
     """
     t = code.topology
     spec = code.spec
-    msg = []
-    for x in message:
-        if hasattr(x, "spec"):
-            if x.spec != spec:
-                raise MixedFields("message symbols from a different field")
-            msg.append(x.value)
-        else:
-            msg.append(spec.validate(x))
+    msg = [spec.validate(x) for x in message]
     ku, kv = t.m - t.a, t.n - t.b
     if len(msg) != ku * kv:
         raise DimensionMismatch(f"message length must be {ku * kv}")
@@ -178,16 +168,6 @@ def encode(code: TensorCode, message) -> GridWord:
     grid = [[next(symbols) if i < ku and j < kv else None for j in range(t.n)]
             for i in range(t.m)]
     return GridWord.of(decode(code, GridWord.of(grid)), erased=())
-
-
-def erase(word: GridWord, e: ErasurePattern) -> GridWord:
-    """Mark the pattern's cells as erased."""
-    rows = [list(r) for r in word.entries]
-    if not e.in_bounds(len(rows), len(rows[0]) if rows else 0):
-        raise ValueError("pattern exceeds the word grid")
-    for i, j in e.cells:
-        rows[i][j] = None
-    return GridWord.of(rows)
 
 
 def decode(code: TensorCode, word: GridWord):
@@ -207,19 +187,7 @@ def decode(code: TensorCode, word: GridWord):
                 spec.validate(v)
     erased = sorted(word.erased)
     h = build_pseudo_parity(code)
-    rhs = []
-    for hrow in h.data:
-        acc = 0
-        for i in range(t.m):
-            row = word.entries[i]
-            base = i * t.n
-            for j in range(t.n):
-                v = row[j]
-                if v:
-                    c = hrow[base + j]
-                    if c:
-                        acc = spec.add(acc, spec.mul(c, v))
-        rhs.append(spec.neg(acc))
+    rhs = [spec.neg(x) for x in h.mul_vector([v or 0 for row in word.entries for v in row])]
     if not erased:
         if any(rhs):
             raise InconsistentWord("known symbols violate the parity checks")

@@ -9,10 +9,6 @@ class DivisionByZero(MrGridError):
     pass
 
 
-class MixedFields(MrGridError):
-    pass
-
-
 class ZeroHasNoLog(MrGridError):
     pass
 
@@ -30,10 +26,6 @@ class ResourceGuard(MrGridError):
 
 
 class EmptyPattern(MrGridError):
-    pass
-
-
-class UnsupportedGlobalParities(MrGridError):
     pass
 
 

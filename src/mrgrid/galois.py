@@ -9,8 +9,6 @@ elements are always represented by 0 and 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DivisionByZero, ZeroHasNoLog
 
 ORDER_CAP = 1 << 20
@@ -237,11 +235,11 @@ class FieldSpec:
         return f"GF(2^{self.k}, modulus={bin(self.modulus)})"
 
 
-def prime_powers_upto(limit: int):
-    """Yield, in increasing order, the orders q <= limit that spec_for_order
+def prime_powers_upto(lo: int, hi: int):
+    """Yield, in increasing order, the orders q in [lo, hi] that spec_for_order
     accepts: the primes up to ORDER_CAP and the powers of two with a default
     modulus (up to 2^16)."""
-    for q in range(2, min(limit, ORDER_CAP) + 1):
+    for q in range(max(lo, 2), min(hi, ORDER_CAP) + 1):
         if (q & (q - 1) == 0 and q.bit_length() - 1 in PRIMITIVE_POLY) or _is_prime(q):
             yield q
 
@@ -253,47 +251,33 @@ def spec_for_order(q: int) -> FieldSpec:
     return FieldSpec(q)
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """A field element paired with its FieldSpec; value is the raw int encoding."""
-
-    value: int
-    spec: FieldSpec
-
-    def __post_init__(self):
-        self.spec.validate(self.value)
-
-
-def primitive_element(spec: FieldSpec) -> FieldElement:
+def primitive_element(spec: FieldSpec) -> int:
     """Least-valued element of multiplicative order q - 1."""
     n = spec.order - 1
     if n == 0:
         raise ValueError("GF(1) is not a field")
     for x in range(1, spec.order):
         if spec.element_order(x) == n:
-            return FieldElement(x, spec)
+            return x
     raise AssertionError("no primitive element found")  # unreachable
 
 
-def discrete_log(spec: FieldSpec, x, base=None) -> int:
-    """The t in [0, q-1) with base**t == x; base defaults to primitive_element."""
-    xv = x.value if isinstance(x, FieldElement) else spec.validate(x)
-    if xv == 0:
+def discrete_log(spec: FieldSpec, x: int, base: int) -> int:
+    """The t in [0, q-1) with base**t == x; base must be a primitive element."""
+    spec.validate(x)
+    spec.validate(base)
+    if x == 0:
         raise ZeroHasNoLog("discrete log of zero is undefined")
-    if base is None:
-        bv = primitive_element(spec).value
-    else:
-        bv = base.value if isinstance(base, FieldElement) else spec.validate(base)
-    if spec.k > 1 and bv == 2:
-        return spec._log[xv]
-    table = spec._dlog_cache.get(bv)
+    if spec.k > 1 and base == 2:
+        return spec._log[x]
+    table = spec._dlog_cache.get(base)
     if table is None:
         table = {}
         val = 1
         for t in range(spec.order - 1):
             table[val] = t
-            val = spec.mul(val, bv)
+            val = spec.mul(val, base)
         if val != 1 or len(table) != spec.order - 1:
-            raise ValueError(f"{bv} is not a primitive element of {spec}")
-        spec._dlog_cache[bv] = table
-    return table[xv]
+            raise ValueError(f"{base} is not a primitive element of {spec}")
+        spec._dlog_cache[base] = table
+    return table[x]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import chain, combinations
 
-from .errors import Inconsistent, MixedFields, RankDeficient, ResourceGuard
+from .errors import Inconsistent, RankDeficient, ResourceGuard
 from .galois import FieldSpec
 
 MDS_TEST_MAX_COLS = 64
@@ -33,14 +33,6 @@ class GFMatrix:
         self.rows = len(rows)
         self.cols = ncols
 
-    @classmethod
-    def zeros(cls, spec: FieldSpec, rows: int, cols: int) -> "GFMatrix":
-        return cls(spec, [[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, spec: FieldSpec, n: int) -> "GFMatrix":
-        return cls(spec, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
@@ -48,31 +40,9 @@ class GFMatrix:
     def row(self, i: int):
         return self.data[i]
 
-    def transpose(self) -> "GFMatrix":
-        return GFMatrix(self.spec, list(zip(*self.data)) if self.data else [])
-
     def restrict_columns(self, cols) -> "GFMatrix":
         cols = list(cols)
         return GFMatrix(self.spec, [[r[j] for j in cols] for r in self.data])
-
-    def matmul(self, other: "GFMatrix") -> "GFMatrix":
-        if self.spec != other.spec:
-            raise MixedFields("matrix product across different fields")
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions differ")
-        mul, add = self.spec.mul, self.spec.add
-        ot = list(zip(*other.data))
-        out = []
-        for r in self.data:
-            out_row = []
-            for c in ot:
-                acc = 0
-                for x, y in zip(r, c):
-                    if x and y:
-                        acc = add(acc, mul(x, y))
-                out_row.append(acc)
-            out.append(out_row)
-        return GFMatrix(self.spec, out)
 
     def mul_vector(self, vec):
         if len(vec) != self.cols:
@@ -161,23 +131,6 @@ def solve_unique(m: GFMatrix, rhs):
     for i, c in enumerate(pivots):
         sol[c] = rows[i][m.cols]
     return sol
-
-
-def null_space_basis(m: GFMatrix) -> GFMatrix:
-    """Rows form a basis of the right kernel {x : m.x = 0}."""
-    spec = m.spec
-    rows = [list(r) for r in m.data]
-    pivots = _echelon(rows, spec, m.cols, reduced=True)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [0] * m.cols
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = spec.neg(rows[i][fc])
-        basis.append(vec)
-    return GFMatrix(spec, basis)
 
 
 def every_w_columns_independent(m: GFMatrix, w: int) -> bool:

@@ -4,8 +4,9 @@ The two supported attack topologies are T_{4xn}(1,2,0) and T_{3xn}(1,3,0).
 Their pattern types are fixed six-column masks, and a mask placed on six
 columns is uncorrectable exactly when the determinant of its reduced
 pseudo-parity block (the paper's rank-condition polynomial f) vanishes.
-Every attack validates its output by an independent rank computation before
-returning.
+Every attack validates its witness before returning: the witness pattern must
+be rank-deficient in the code's own pseudo-parity matrix, the same matrix and
+rank computation behind every rank the package reports.
 """
 
 from __future__ import annotations
@@ -127,37 +128,34 @@ def _restricted_rank(code: TensorCode, pattern: ErasurePattern) -> int:
     return rank(h.restrict_columns(cols))
 
 
-def _ones_col_restricted_rank(h_row: GFMatrix, pattern: ErasurePattern) -> int:
-    """rank of the all-ones-column pseudo-parity matrix restricted to the pattern.
-
-    Assembled directly from h_row entries so degenerate inputs (h_row without
-    full row rank) can still be rank-validated.
-    """
-    cells = sorted(pattern.cells)
-    b, n = h_row.rows, h_row.cols
-    rows = []
-    for j in sorted({c for _, c in cells}):
-        rows.append([1 if jj == j else 0 for _, jj in cells])
-    for i in sorted({r for r, _ in cells}):
-        for k in range(b):
-            rows.append([h_row[k, jj] if ii == i else 0 for ii, jj in cells])
-    return rank(GFMatrix(h_row.spec, rows))
+def _check_attack_shape(code: TensorCode, b: int, min_m: int):
+    """Raise ValueError unless code is T_{m x n}(1, b, 0) with m >= min_m, and
+    NotMds on a zero column-parity coefficient (the attacks assume an MDS
+    column code)."""
+    t = code.topology
+    if t.a != 1 or t.b != b or t.m < min_m:
+        raise ValueError(f"the attack needs a T_{{m x n}}(1, {b}, 0) code with m >= {min_m}, "
+                         f"got m={t.m}, a={t.a}, b={t.b}")
+    if not all(code.h_col.row(0)):
+        raise NotMds("a column-parity coefficient is zero")
 
 
-def attack_t4(h_row: GFMatrix) -> AttackOutcome | None:
-    """Uncorrectable Type II pattern for T_{4xn}(1,2,0) from a pair-sum collision.
+def attack_t4(code: TensorCode) -> AttackOutcome | None:
+    """Uncorrectable Type II pattern for T_{m x n}(1,2,0), m >= 4, from a
+    pair-sum collision.
 
     Weight-2 columns are normalized to (1, r); r maps to its discrete log t,
     and three disjoint equal-sum exponent pairs give a zero of the rank
-    polynomial, hence a rank-deficient pattern for every [4,3,2] column code.
+    polynomial, hence a rank-deficient pattern on the first four grid rows
+    for every MDS column code.
     """
-    if h_row.rows != 2:
-        raise ValueError("attack_t4 expects a 2 x n row parity matrix")
+    _check_attack_shape(code, 2, 4)
+    h_row = code.h_row
     spec = h_row.spec
     n = h_row.cols
     if not every_w_columns_independent(h_row, 2):
         raise NotMds("h_row has two dependent columns")
-    omega = primitive_element(spec).value
+    omega = primitive_element(spec)
     exp_to_col = {}
     for j in range(n):
         top, bot = h_row[0, j], h_row[1, j]
@@ -170,7 +168,7 @@ def attack_t4(h_row: GFMatrix) -> AttackOutcome | None:
     columns = tuple(exp_to_col[t] for t in witness.exponents)
     witness = SidonWitness(witness.exponents, witness.pairing, witness.modulus, columns)
     pattern = _masked_pattern(TYPE_II_MASK, columns)
-    r = _ones_col_restricted_rank(h_row, pattern)
+    r = _restricted_rank(code, pattern)
     if r >= len(pattern.cells):
         raise AssertionError("pair-sum witness failed the rank validation")
     return AttackOutcome(pattern, r, witness=witness)
@@ -213,23 +211,24 @@ def _disjoint_edges(edges) -> list:
     return chosen
 
 
-def attack_t3(h_row: GFMatrix) -> AttackOutcome | None:
-    """Uncorrectable E0 pattern for T_{3xn}(1,3,0).
+def attack_t3(code: TensorCode) -> AttackOutcome | None:
+    """Uncorrectable E0 pattern for T_{m x n}(1,3,0), m >= 3, on the first
+    three grid rows.
 
     Either six columns share a zero first coordinate (the reduced block then
     loses three rows and two more dependencies, rank <= 4), or three disjoint
     column pairs share the same normalized difference vector, which makes the
     reduced block singular.
     """
-    if h_row.rows != 3:
-        raise ValueError("attack_t3 expects a 3 x n row parity matrix")
+    _check_attack_shape(code, 3, 3)
+    h_row = code.h_row
     spec = h_row.spec
     n = h_row.cols
     zero_first = [j for j in range(n) if h_row[0, j] == 0]
     if len(zero_first) >= 6:
         columns = tuple(zero_first[:6])
         pattern = _masked_pattern(E0_MASK, columns)
-        r = _ones_col_restricted_rank(h_row, pattern)
+        r = _restricted_rank(code, pattern)
         if r >= len(pattern.cells):
             raise AssertionError("zero-first-coordinate columns failed the rank validation")
         return AttackOutcome(pattern, r, detail={
@@ -252,7 +251,7 @@ def attack_t3(h_row: GFMatrix) -> AttackOutcome | None:
     (i1, j1), (i2, j2), (i3, j3) = chosen
     columns = (i1, j1, i2, j2, i3, j3)
     pattern = _masked_pattern(E0_MASK, columns)
-    r = _ones_col_restricted_rank(h_row, pattern)
+    r = _restricted_rank(code, pattern)
     if r >= len(pattern.cells):
         raise AssertionError("difference collision failed the rank validation")
     return AttackOutcome(pattern, r, detail={
@@ -308,7 +307,7 @@ def certify_mr(code: TensorCode,
     enumerates every embedding literally.
     """
     t = code.topology
-    if t.a != 1 or t.h != 0:
+    if t.a != 1:
         raise ValueError("certification covers T_{m x n}(1, b, 0) topologies")
     if not every_w_columns_independent(code.h_row, t.b):
         return CertReport("failed_mds", None, None, 0)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from math import comb, factorial
+from math import factorial
 
 from .errors import EmptyPattern, ResourceGuard
 
@@ -28,13 +28,12 @@ ENUMERATION_GUARD = 10 ** 7
 
 @dataclass(frozen=True)
 class Topology:
-    """Grid-like topology T_{m x n}(a, b, h)."""
+    """Grid-like topology T_{m x n}(a, b, 0)."""
 
     m: int
     n: int
     a: int
     b: int
-    h: int = 0
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -43,8 +42,6 @@ class Topology:
             raise ValueError("need 0 <= a <= m-1")
         if not 0 <= self.b <= self.n - 1:
             raise ValueError("need 0 <= b <= n-1")
-        if self.h < 0:
-            raise ValueError("h must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -109,8 +106,6 @@ class PatternType:
 
 
 def _check_grid(t: Topology, e: ErasurePattern):
-    if t.h != 0:
-        raise ValueError("pattern predicates are defined for h = 0 topologies")
     if not e.in_bounds(t.m, t.n):
         raise ValueError("pattern exceeds grid bounds")
 
@@ -204,7 +199,7 @@ def canonical_type(e: ErasurePattern) -> PatternType:
     return PatternType(u, v, best)
 
 
-def enumerate_types(m: int, b: int, cap: int = ENUMERATION_GUARD) -> list[PatternType]:
+def enumerate_types(m: int, b: int) -> list[PatternType]:
     """All canonical types of regular irreducible patterns for T_{m x n}(1, b, 0).
 
     Types are n-independent: a type with v columns embeds in any grid with
@@ -247,7 +242,7 @@ def enumerate_types(m: int, b: int, cap: int = ENUMERATION_GUARD) -> list[Patter
             def grow(start, weight):
                 nonlocal explored
                 explored += 1
-                if explored > cap:
+                if explored > ENUMERATION_GUARD:
                     raise ResourceGuard("mask search space exceeds cap")
                 remaining = v - len(chosen)
                 if remaining == 0:
@@ -306,14 +301,14 @@ def row_class_masks(pt: PatternType) -> list[tuple]:
     return sorted({tuple(sorted(zip(*cols))) for cols in _column_arrangements(pt)})
 
 
-def type_orbit_masks(pt: PatternType, cap: int = ENUMERATION_GUARD) -> list[tuple]:
+def type_orbit_masks(pt: PatternType) -> list[tuple]:
     """All distinct masks reachable from pt by row/column permutations, sorted.
 
     Each distinct column arrangement is taken under every row permutation,
     so repeated columns are not permuted among themselves.
     """
     u, v = pt.u, pt.v
-    if factorial(u) * factorial(v) > cap:
+    if factorial(u) * factorial(v) > ENUMERATION_GUARD:
         raise ResourceGuard("orbit size exceeds cap")
     rperms = list(permutations(range(u)))
     seen = set()
@@ -322,21 +317,3 @@ def type_orbit_masks(pt: PatternType, cap: int = ENUMERATION_GUARD) -> list[tupl
         seen.update(tuple(rows[p] for p in rperm) for rperm in rperms)
     return sorted(seen)
 
-
-def count_instantiations(pt: PatternType, m: int, n: int) -> int:
-    if pt.u > m or pt.v > n:
-        raise ValueError("type does not fit the grid")
-    return comb(m, pt.u) * comb(n, pt.v) * len(type_orbit_masks(pt))
-
-
-def instantiate_type(pt: PatternType, m: int, n: int):
-    """Yield every embedding of pt into the m x n grid, each a distinct cell set."""
-    if pt.u > m or pt.v > n:
-        raise ValueError("type does not fit the grid")
-    orbit = type_orbit_masks(pt)
-    for rows in combinations(range(m), pt.u):
-        for cols in combinations(range(n), pt.v):
-            for mask in orbit:
-                yield ErasurePattern.of(
-                    (rows[i], cols[j])
-                    for i in range(pt.u) for j in range(pt.v) if mask[i][j])

@@ -7,6 +7,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 from mrgrid import ErasurePattern, GFMatrix, TensorCode, Topology, search_mr
 # the field-order sweeps of the tests are the ones the CLI search uses
 from mrgrid.galois import prime_powers_upto, spec_for_order
+from mrgrid.patterns import type_orbit_masks
 
 
 def _is_prime(n):
@@ -23,7 +24,7 @@ def _is_prime(n):
 def first_certified(m, b, n, q_max, seed=0):
     """The first greedy code certified in the q sweep, its q and the seconds taken."""
     t0 = time.time()
-    for q in prime_powers_upto(q_max):
+    for q in prime_powers_upto(2, q_max):
         code = search_mr(m, b, n, spec_for_order(q), strategy="greedy_indep", seed=seed)
         if code is not None:
             return code, q, time.time() - t0
@@ -115,6 +116,16 @@ def class_pattern(u, key) -> ErasurePattern:
     col_types = [tuple(sorted(s)) for r in range(1, u + 1)
                  for s in combinations(range(u), r)]
     return ErasurePattern.of((i, j) for j, t in enumerate(key) for i in col_types[t])
+
+
+def instantiate_type(pt, m, n) -> list:
+    """Every embedding of pt into the m x n grid: each orbit mask on each
+    choice of pt.u rows and pt.v columns."""
+    return [ErasurePattern.of((rows[i], cols[j]) for i in range(pt.u) for j in range(pt.v)
+                              if mask[i][j])
+            for rows in combinations(range(m), pt.u)
+            for cols in combinations(range(n), pt.v)
+            for mask in type_orbit_masks(pt)]
 
 
 def brute_orbit_masks(pt):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mrgrid import FieldSpec, GFMatrix, TensorCode, Topology, encode, erase
+from mrgrid import FieldSpec, GFMatrix, GridWord, TensorCode, Topology, encode
 from mrgrid.cli import run
 from mrgrid.patterns import ErasurePattern
 from _support import is_two_sidon, simple_code
@@ -185,7 +185,7 @@ def test_attack_command(tmp_path, capsys):
             exps.append(x)
         if len(exps) == 6:
             break
-    w = primitive_element(s32).value
+    w = primitive_element(s32)
     good = simple_code(s32, 4, 6, 2, [s32.pow(w, t) for t in exps])
     f2 = tmp_path / "good.json"
     f2.write_text(json.dumps(good.to_dict()))
@@ -194,11 +194,37 @@ def test_attack_command(tmp_path, capsys):
     assert json.loads(out)["outcome"] is None
 
 
+def _geometric_code(m, a, alphas=None) -> TensorCode:
+    """A T_{m x 6}(a, 2, 0) code over GF(7) whose row code holds a t4 witness."""
+    s = FieldSpec(7)
+    h_row = GFMatrix(s, [[1] * 6, [pow(3, t, 7) for t in range(6)]])
+    h_col = [alphas or [1] * m] if a == 1 else [[1] * m, list(range(1, m + 1))]
+    return TensorCode(Topology(m, 6, a, 2), GFMatrix(s, h_col), h_row)
+
+
+@pytest.mark.parametrize("m,a", [(4, 2), (3, 1), (2, 1)])
+def test_attack_t4_outside_its_shape_is_usage_error(tmp_path, capsys, m, a):
+    # two column parities, or fewer than four grid rows for the Type II pattern
+    f = tmp_path / "code.json"
+    f.write_text(json.dumps(_geometric_code(m, a).to_dict()))
+    status, out, err = invoke(capsys, ["attack", "--code", str(f), "--topology", "t4"])
+    assert status == 2 and out == ""
+    assert "usage error" in err
+
+
+def test_attack_with_a_zero_column_coefficient_is_not_mds(tmp_path, capsys):
+    f = tmp_path / "code.json"
+    f.write_text(json.dumps(_geometric_code(4, 1, alphas=[3, 0, 0, 0]).to_dict()))
+    status, out, err = invoke(capsys, ["attack", "--code", str(f), "--topology", "t4"])
+    assert status == 1 and out == ""
+    assert "NotMds" in err
+
+
 def test_decode_command(tmp_path, capsys):
     s = FieldSpec(13)
     code = simple_code(s, 3, 5, 2, [1, 2, 3, 4, 5])
     w = encode(code, [1, 2, 3, 4, 5, 6])
-    we = erase(w, ErasurePattern.of([(0, 0), (1, 0)]))
+    we = GridWord.of(w.entries, [(0, 0), (1, 0)])
     (tmp_path / "code.json").write_text(json.dumps(code.to_dict()))
     (tmp_path / "word.json").write_text(json.dumps(we.to_dict()))
     status, out, _ = invoke(capsys, ["decode", "--code", str(tmp_path / "code.json"),
@@ -213,7 +239,7 @@ def test_decode_uncorrectable_exit_1(tmp_path, capsys):
     w = encode(code, [0] * 12)
     box = ErasurePattern.of((i, j) for i in range(2) for j in range(3))
     (tmp_path / "code.json").write_text(json.dumps(code.to_dict()))
-    (tmp_path / "word.json").write_text(json.dumps(erase(w, box).to_dict()))
+    (tmp_path / "word.json").write_text(json.dumps(GridWord.of(w.entries, box.cells).to_dict()))
     status, _, err = invoke(capsys, ["decode", "--code", str(tmp_path / "code.json"),
                                      "--word", str(tmp_path / "word.json")])
     assert status == 1

@@ -4,11 +4,10 @@ from itertools import product
 import pytest
 
 from mrgrid import (ErasurePattern, FieldSpec, GFMatrix, GridWord, TensorCode,
-                    Topology, build_pseudo_parity, decode, encode, erase,
-                    is_correctable_by, is_regular, null_space_basis, rank,
-                    reduce_restricted)
+                    Topology, build_pseudo_parity, decode, encode,
+                    is_correctable_by, is_regular, rank, reduce_restricted)
 from mrgrid.errors import (DimensionMismatch, InconsistentWord, NotIrreducible,
-                           Uncorrectable, UnsupportedGlobalParities)
+                           Uncorrectable)
 from mrgrid.mr import E0_MASK, TYPE_I_MASK, TYPE_II_MASK
 from _support import (mask_pattern, random_mds_rows, random_nonzero_row,
                       simple_code, spec_for_order)
@@ -38,28 +37,16 @@ def test_pseudo_parity_dimensions_random_shapes():
         assert (h.rows, h.cols) == (a * n + b * m, m * n)
 
 
-def test_pseudo_parity_rejects_global_parities():
-    s = FieldSpec(7)
-    code = TensorCode(Topology(2, 3, 1, 1, h=1), GFMatrix(s, [[1, 1]]),
-                      GFMatrix(s, [[1, 1, 1]]))
-    with pytest.raises(UnsupportedGlobalParities):
-        build_pseudo_parity(code)
-
-
 def test_pseudo_parity_annihilates_codewords():
+    # the kernel has dimension (m-a)(n-b), and encoded words lie in it
     rng = random.Random(1)
     s = FieldSpec(11)
     code = simple_code(s, 3, 5, 2, [1, 2, 3, 4, 5])
     h = build_pseudo_parity(code)
-    basis = null_space_basis(h)
-    assert basis.rows == (3 - 1) * (5 - 2)
+    assert h.cols - rank(h) == (3 - 1) * (5 - 2)
     for _ in range(25):
-        coeffs = [rng.randrange(11) for _ in range(basis.rows)]
-        word = [0] * h.cols
-        for c, row in zip(coeffs, basis.data):
-            if c:
-                word = [s.add(x, s.mul(c, y)) for x, y in zip(word, row)]
-        assert all(v == 0 for v in h.mul_vector(word))
+        w = encode(code, [rng.randrange(11) for _ in range(6)])
+        assert all(v == 0 for v in h.mul_vector([x for row in w.entries for x in row]))
 
 
 def test_encode_examples():
@@ -145,7 +132,7 @@ def test_decode_single_cell_column_parity():
     rng = random.Random(3)
     msg = [rng.randrange(13) for _ in range(9)]
     w = encode(code, msg)
-    erased = erase(w, ErasurePattern.of([(2, 3)]))
+    erased = GridWord.of(w.entries, [(2, 3)])
     got = decode(code, erased)
     column_rest = sum(w.entries[i][3] for i in range(4) if i != 2)
     assert got[2][3] == s.neg(column_rest % 13)
@@ -159,9 +146,9 @@ def test_decode_uncorrectable_and_inconsistent_priority():
     # a fully erased 2x3 box is not regular, hence not correctable
     box = ErasurePattern.of((i, j) for i in range(2) for j in range(3))
     with pytest.raises(Uncorrectable):
-        decode(code, erase(w, box))
+        decode(code, GridWord.of(w.entries, box.cells))
     # corrupt a known symbol: inconsistency reported even though the pattern is bad
-    bad = [list(r) for r in erase(w, box).entries]
+    bad = [list(r) for r in GridWord.of(w.entries, box.cells).entries]
     bad[3][5] = 1
     with pytest.raises(InconsistentWord):
         decode(code, GridWord.of(bad))
@@ -181,7 +168,7 @@ def test_decode_roundtrip_random_regular():
             e = ErasurePattern.of(cells)
             if is_regular(topo, e) and is_correctable_by(code, e):
                 break
-        assert decode(code, erase(w, e)) == w.entries
+        assert decode(code, GridWord.of(w.entries, e.cells)) == w.entries
 
 
 def test_is_correctable_examples():
@@ -311,19 +298,10 @@ def test_code_and_word_json_roundtrip():
     code = simple_code(s, 4, 6, 2, [1, 2, 3, 4, 5, 6])
     assert TensorCode.from_dict(code.to_dict()) == code
     w = encode(code, [1] * 12)
-    we = erase(w, ErasurePattern.of([(0, 0), (1, 1)]))
+    we = GridWord.of(w.entries, [(0, 0), (1, 1)])
     d = we.to_dict()
     assert d["entries"][0][0] is None
     assert GridWord.from_dict(d) == we
-
-
-def test_encode_rejects_foreign_field_elements():
-    from mrgrid import FieldElement
-    from mrgrid.errors import MixedFields
-    s = FieldSpec(7)
-    code = simple_code(s, 3, 4, 1, [1, 2, 3, 4])
-    with pytest.raises(MixedFields):
-        encode(code, [FieldElement(1, FieldSpec(5))] + [0] * 5)
 
 
 def test_decode_validates_shape_and_symbols():
@@ -340,5 +318,5 @@ def test_erase_bounds_check():
     s = FieldSpec(7)
     code = simple_code(s, 3, 4, 1, [1, 2, 3, 4])
     w = encode(code, [0] * 6)
-    with pytest.raises(ValueError):
-        erase(w, ErasurePattern.of([(5, 0)]))
+    with pytest.raises(ValueError, match="out of bounds"):
+        GridWord.of(w.entries, [(5, 0)])

@@ -1,6 +1,6 @@
 import pytest
 
-from mrgrid import FieldElement, FieldSpec, discrete_log, primitive_element
+from mrgrid import FieldSpec, discrete_log, galois, primitive_element
 from mrgrid.errors import DivisionByZero, ZeroHasNoLog
 from mrgrid.galois import ORDER_CAP
 from _support import prime_powers_upto, spec_for_order, _is_prime
@@ -48,18 +48,17 @@ def test_gf2k_mul_matches_schoolbook(k):
 
 def test_primitive_element_examples():
     s7 = FieldSpec(7)
-    w = primitive_element(s7)
-    assert w.value == 3
+    assert primitive_element(s7) == 3
     # order oracle: powers of 3 enumerate all of F_7*
     assert sorted(s7.pow(3, e) for e in range(1, 7)) == [1, 2, 3, 4, 5, 6]
-    assert primitive_element(FieldSpec(2)).value == 1
-    assert primitive_element(FieldSpec(2, 3)).value == 0b010
+    assert primitive_element(FieldSpec(2)) == 1
+    assert primitive_element(FieldSpec(2, 3)) == 0b010
 
 
 def test_primitive_element_is_least():
     for q in [5, 11, 13, 16, 32]:
         s = FieldSpec(2, q.bit_length() - 1) if q & (q - 1) == 0 and q > 2 else FieldSpec(q)
-        w = primitive_element(s).value
+        w = primitive_element(s)
         for x in range(1, w):
             assert s.element_order(x) < s.order - 1
 
@@ -94,16 +93,29 @@ def test_prime_powers_upto_yields_exactly_the_supported_orders():
             return False
         return True
 
-    assert list(prime_powers_upto(600)) == [q for q in range(601) if supported(q)]
+    assert list(prime_powers_upto(2, 600)) == [q for q in range(601) if supported(q)]
+    assert list(prime_powers_upto(-5, 600)) == list(prime_powers_upto(0, 600))
+    assert list(prime_powers_upto(100, 130)) == [101, 103, 107, 109, 113, 127, 128]
+    assert list(prime_powers_upto(24, 26)) == list(prime_powers_upto(30, 20)) == []
     # GF(2^k) for k > 16 has no default modulus; orders above ORDER_CAP are refused
-    orders = list(prime_powers_upto(1 << 18))
+    orders = list(prime_powers_upto(2, 1 << 18))
     assert [q for q in orders if q & (q - 1) == 0] == [1 << k for k in range(1, 17)]
     assert all(supported(q) for q in orders[-3:])
     assert not supported(1 << 17) and not supported(ORDER_CAP + 1)
 
 
+def test_prime_powers_upto_tests_only_orders_in_range(monkeypatch):
+    # the scan starts at lo: no order below it is trial-divided
+    calls = []
+    is_prime = galois._is_prime
+    monkeypatch.setattr(galois, "_is_prime", lambda q: calls.append(q) or is_prime(q))
+    lo, hi = ORDER_CAP - 100, ORDER_CAP
+    assert list(galois.prime_powers_upto(lo, hi)) == [q for q in range(lo, hi + 1) if is_prime(q)]
+    assert len(calls) <= hi - lo + 1 and min(calls) >= lo
+
+
 def test_field_axioms_exhaustive_upto_64():
-    orders = [q for q in prime_powers_upto(64)
+    orders = [q for q in prime_powers_upto(2, 64)
               if _is_prime(q) or q & (q - 1) == 0]
     for q in orders:
         s = FieldSpec(2, q.bit_length() - 1) if q & (q - 1) == 0 and q > 2 else FieldSpec(q)
@@ -157,10 +169,3 @@ def test_pow_negative_exponent_and_orders():
     with pytest.raises(DivisionByZero):
         s16.element_order(0)
 
-
-def test_field_element_validation():
-    s = FieldSpec(7)
-    with pytest.raises(ValueError):
-        FieldElement(7, s)
-    with pytest.raises(ValueError):
-        FieldElement(-1, s)

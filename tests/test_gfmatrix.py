@@ -3,45 +3,46 @@ from itertools import combinations, product
 
 import pytest
 
-from mrgrid import (FieldSpec, GFMatrix, every_w_columns_independent,
-                    null_space_basis, rank, solve_unique)
+from mrgrid import (FieldSpec, GFMatrix, every_w_columns_independent, rank,
+                    reduce_restricted, solve_unique)
 from mrgrid.errors import Inconsistent, RankDeficient, ResourceGuard
 from mrgrid.gfmatrix import _echelon
-from _support import brute_echelon, leibniz_determinant, spec_for_order
+from mrgrid.mr import TYPE_II_MASK
+from _support import (brute_echelon, f_t4, leibniz_determinant, mask_pattern, simple_code,
+                      spec_for_order)
 
 ORACLE_ORDERS = (2, 3, 7, 8, 16, 257, 1024, 1048573)
 
 
+def identity(spec, n):
+    return GFMatrix(spec, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def test_rank_examples():
     s = FieldSpec(5)
-    assert rank(GFMatrix.identity(s, 4)) == 4
+    assert rank(identity(s, 4)) == 4
     s2 = FieldSpec(2)
     assert rank(GFMatrix(s2, [[1, 1], [1, 1]])) == 1
-    assert rank(GFMatrix.zeros(s, 3, 5)) == 0
+    assert rank(GFMatrix(s, [[0] * 5] * 3)) == 0
 
 
 def test_simplified_type2_block_rank_six():
-    # reduced Type II block with Vandermonde-style entries: full rank when the
-    # pairing polynomial is nonzero
+    # the reduced Type II block of a Vandermonde row code has full rank 6
+    # exactly when the rank polynomial f_t4 of its column values is nonzero
     s = FieldSpec(13)
+    pattern = mask_pattern(TYPE_II_MASK)
     a = [1, 2, 3, 4, 5, 7]
-    f = (s.sub(a[0], a[3]) * s.sub(a[1], a[5]) * s.sub(a[2], a[4])
-         - s.sub(a[1], a[3]) * s.sub(a[0], a[4]) * s.sub(a[2], a[5])) % 13
-    assert f != 0
-    m = GFMatrix(s, [
-        [1, 0, 0, 0, 0, 0],
-        [0, 1, 0, 0, 0, 0],
-        [0, 0, 1, 0, 0, 0],
-        [0, 0, 0, s.sub(a[0], a[3]), s.sub(a[0], a[4]), 0],
-        [0, 0, 0, s.sub(a[3], a[1]), 0, s.sub(a[1], a[5])],
-        [0, 0, 0, 0, s.sub(a[4], a[2]), s.sub(a[5], a[2])],
-    ])
-    assert rank(m) == 6
+    assert f_t4(s, a) != 0
+    assert rank(reduce_restricted(simple_code(s, 4, 6, 2, a), pattern)) == 6
+    # an arithmetic progression zeroes f_t4, and the block drops rank
+    a = [0, 1, 2, 3, 4, 5]
+    assert f_t4(s, a) == 0
+    assert rank(reduce_restricted(simple_code(s, 4, 6, 2, a), pattern)) < 6
 
 
 def test_solve_examples():
     s = FieldSpec(7)
-    ident = GFMatrix.identity(s, 3)
+    ident = identity(s, 3)
     assert solve_unique(ident, [2, 0, 5]) == [2, 0, 5]
     s2 = FieldSpec(2)
     with pytest.raises(Inconsistent):
@@ -102,48 +103,9 @@ def test_every_w_matches_bruteforce():
 
 def test_every_w_resource_guard():
     s = FieldSpec(2)
-    wide = GFMatrix.zeros(s, 2, 65)
+    wide = GFMatrix(s, [[0] * 65] * 2)
     with pytest.raises(ResourceGuard):
         every_w_columns_independent(wide, 2)
-
-
-def test_null_space_examples():
-    s = FieldSpec(3)
-    assert null_space_basis(GFMatrix.identity(s, 4)).rows == 0
-    z = GFMatrix.zeros(s, 2, 5)
-    nb = null_space_basis(z)
-    assert nb.rows == 5 and rank(nb) == 5
-    s2 = FieldSpec(2)
-    parity = GFMatrix(s2, [[1, 1, 1, 1]])
-    nb = null_space_basis(parity)
-    assert nb.rows == 3
-    # oracle: kernel of the length-4 parity code is exactly the even-weight vectors
-    kernel = {tuple(v) for v in product(range(2), repeat=4) if sum(v) % 2 == 0}
-    spanned = set()
-    for coeffs in product(range(2), repeat=3):
-        vec = [0, 0, 0, 0]
-        for c, row in zip(coeffs, nb.data):
-            if c:
-                vec = [x ^ y for x, y in zip(vec, row)]
-        spanned.add(tuple(vec))
-    assert spanned == kernel
-    for row in nb.data:
-        assert sum(row) % 2 == 0
-
-
-def test_null_space_orthogonality_and_dimension():
-    rng = random.Random(2)
-    for q in (2, 4, 7):
-        s = spec_for_order(q)
-        for _ in range(20):
-            rows, cols = rng.randrange(1, 6), rng.randrange(1, 7)
-            m = GFMatrix(s, [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)])
-            nb = null_space_basis(m)
-            assert nb.rows == cols - rank(m)
-            if nb.rows:
-                prod = m.matmul(nb.transpose())
-                assert all(x == 0 for row in prod.data for x in row)
-                assert rank(nb) == nb.rows
 
 
 def test_rank_equals_transpose_rank():
@@ -153,7 +115,7 @@ def test_rank_equals_transpose_rank():
         for _ in range(12):
             rows, cols = rng.randrange(1, 31), rng.randrange(1, 31)
             m = GFMatrix(s, [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)])
-            assert rank(m) == rank(m.transpose())
+            assert rank(m) == rank(GFMatrix(s, list(zip(*m.data))))
 
 
 def test_matrix_json_roundtrip():
@@ -162,15 +124,9 @@ def test_matrix_json_roundtrip():
     assert GFMatrix.from_dict(m.to_dict()) == m
 
 
-def test_matmul_and_determinant_errors():
-    s, s2 = FieldSpec(7), FieldSpec(5)
-    a = GFMatrix(s, [[1, 2]])
-    b = GFMatrix(s2, [[1], [2]])
-    from mrgrid.errors import MixedFields
-    with pytest.raises(MixedFields):
-        a.matmul(b)
-    with pytest.raises(ValueError):
-        GFMatrix(s, [[1, 2], [3]])
+def test_ragged_rows_are_rejected():
+    with pytest.raises(ValueError, match="ragged rows"):
+        GFMatrix(FieldSpec(7), [[1, 2], [3]])
 
 
 def _sparse_entry(spec, rng):

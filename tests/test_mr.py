@@ -7,8 +7,9 @@ import pytest
 
 from mrgrid import (ErasurePattern, FieldSpec, GFMatrix,
                     TensorCode, Topology, attack_t3, attack_t4, build_pseudo_parity,
-                    certify_mr, find_sum_collision, is_correctable_by,
-                    is_irreducible, is_regular, rank, reduce_restricted, search_mr)
+                    certify_mr, every_w_columns_independent, find_sum_collision,
+                    is_correctable_by, is_irreducible, is_regular, primitive_element,
+                    rank, reduce_restricted, search_mr)
 from mrgrid.bounds import q_below_t3_threshold, q_below_t4_threshold
 from mrgrid.errors import NotMds, ResourceGuard
 from mrgrid.mr import E0_MASK, TYPE_II_MASK, _disjoint_edges, _greedy_values
@@ -169,10 +170,14 @@ def test_find_sum_collision_rejects_duplicates():
 # attacks
 # ----------------------------------------------------------------------
 
+def _row_code(h_row, m) -> TensorCode:
+    return TensorCode.simple_parity_col(Topology(m, h_row.cols, 1, h_row.rows), h_row)
+
+
 def test_attack_t4_gf7_geometric_columns():
     s = FieldSpec(7)
     h = GFMatrix(s, [[1] * 6, [pow(3, t, 7) for t in range(6)]])
-    out = attack_t4(h)
+    out = attack_t4(_row_code(h, 4))
     assert out is not None
     assert len(out.pattern.cells) == 12
     assert out.rank_found < 12
@@ -180,20 +185,24 @@ def test_attack_t4_gf7_geometric_columns():
     # returned pattern is a Type II instantiation on those columns
     topo = Topology(4, 6, 1, 2)
     assert is_irreducible(topo, out.pattern) and is_regular(topo, out.pattern)
+    # more grid rows: the same witness on the first four
+    assert attack_t4(_row_code(h, 6)).pattern == out.pattern
 
 
 def test_attack_t4_rejected_by_random_column_codes():
     rng = random.Random(2)
     s = spec_for_order(16)
     h = random_mds_rows(s, 2, 13, rng)
-    out = attack_t4(h)
-    assert out is not None
-    cols = [i * 13 + j for i, j in sorted(out.pattern.cells)]
+    first = attack_t4(_row_code(h, 4))
+    assert first is not None
+    cols = [i * 13 + j for i, j in sorted(first.pattern.cells)]
     for k in range(21):
         coeffs = [1, 1, 1, 1] if k == 0 else [rng.randrange(1, 16) for _ in range(4)]
         code = TensorCode(Topology(4, 13, 1, 2), GFMatrix(s, [coeffs]), h)
+        out = attack_t4(code)
+        assert out.pattern == first.pattern
         hp = build_pseudo_parity(code)
-        assert rank(hp.restrict_columns(cols)) < 12
+        assert out.rank_found == rank(hp.restrict_columns(cols)) < 12
 
 
 def test_attack_t4_none_on_sidon_exponents():
@@ -207,54 +216,78 @@ def test_attack_t4_none_on_sidon_exponents():
             break
     assert len(chosen) == 6
     s = FieldSpec(2, 5)
-    from mrgrid import primitive_element
-    w = primitive_element(s).value
+    w = primitive_element(s)
     h = GFMatrix(s, [[1] * 6, [s.pow(w, t) for t in chosen]])
-    assert attack_t4(h) is None
+    assert attack_t4(_row_code(h, 4)) is None
 
 
 def test_attack_t4_not_mds():
     s = FieldSpec(7)
     with pytest.raises(NotMds):
-        attack_t4(GFMatrix(s, [[1, 2, 1], [3, 5, 3]]))
+        attack_t4(_row_code(GFMatrix(s, [[1, 2, 1], [3, 5, 3]]), 4))
+
+
+def test_attacks_check_the_column_code():
+    s = FieldSpec(7)
+    h2 = GFMatrix(s, [[1] * 6, [pow(3, t, 7) for t in range(6)]])
+    h3 = GFMatrix(s, [[1] * 6, list(range(6)), [t % 2 for t in range(6)]])
+    for attack, h, m in ((attack_t4, h2, 4), (attack_t3, h3, 3)):
+        assert attack(_row_code(h, m)) is not None
+        # a zero column-parity coefficient: the column code is not MDS
+        alphas = [1] * m
+        alphas[1] = 0
+        with pytest.raises(NotMds, match="column-parity coefficient"):
+            attack(TensorCode(Topology(m, 6, 1, h.rows), GFMatrix(s, [alphas]), h))
+        # too few grid rows, and two column parities
+        with pytest.raises(ValueError):
+            attack(_row_code(h, m - 1))
+        h_col = GFMatrix(s, [[1] * m, list(range(1, m + 1))])
+        with pytest.raises(ValueError):
+            attack(TensorCode(Topology(m, 6, 2, h.rows), h_col, h))
+    # each attack covers one row-code height
+    with pytest.raises(ValueError):
+        attack_t3(_row_code(h2, 4))
+    with pytest.raises(ValueError):
+        attack_t4(_row_code(h3, 4))
 
 
 def test_attack_t3_zero_first_coordinate_branch():
     s = FieldSpec(7)
     data = [[0] * 6 + [1, 1], [1, 2, 3, 4, 5, 6, 0, 1], [1, 1, 2, 2, 3, 3, 1, 0]]
-    out = attack_t3(GFMatrix(s, data))
+    out = attack_t3(_row_code(GFMatrix(s, data), 3))
     assert out.detail["kind"] == "zero_first_coordinate"
     assert out.rank_found < 12
     assert len(out.pattern.cells) == 12
 
 
 def test_attack_t3_difference_collision_spec_example():
+    # normalized vectors (t, t % 2): pairs (0,1), (2,3), (4,5) share delta (1, 1)
     s = FieldSpec(7)
-    cols = [(1, t, t) for t in range(6)]
-    out = attack_t3(GFMatrix(s, list(zip(*cols))))
+    cols = [(1, t, t % 2) for t in range(6)]
+    out = attack_t3(_row_code(GFMatrix(s, list(zip(*cols))), 3))
     assert out.detail["kind"] == "difference_collision"
     assert out.detail["delta"] == [1, 1]
-    assert len(out.detail["pairs"]) == 3
-    used = [c for p in out.detail["pairs"] for c in p]
-    assert len(set(used)) == 6
+    assert out.detail["pairs"] == [[0, 1], [2, 3], [4, 5]]
+    assert out.rank_found < 12
 
 
 def test_attack_t3_difference_collision_mds_instance():
     s = FieldSpec(7)
     gam = [(2, 1), (3, 2), (5, 2), (6, 3), (4, 6), (5, 0)]
     h = GFMatrix(s, list(zip(*[(1, a, b) for a, b in gam])))
-    from mrgrid import every_w_columns_independent
     assert every_w_columns_independent(h, 3)
-    out = attack_t3(h)
+    out = attack_t3(_row_code(h, 3))
     assert out is not None and out.rank_found < 12
 
 
 def test_attack_t3_none_and_errors():
     s = FieldSpec(7)
     h4 = GFMatrix(s, [[1, 1, 1, 1], [0, 1, 2, 3], [0, 1, 4, 2]])
-    assert attack_t3(h4) is None
+    assert attack_t3(_row_code(h4, 3)) is None
+    # columns 0 and 1 normalize to the same vector
+    twin = GFMatrix(s, [[1, 2, 0, 0], [1, 2, 1, 0], [1, 2, 0, 1]])
     with pytest.raises(NotMds):
-        attack_t3(GFMatrix(s, [[1, 2], [1, 2], [1, 2]]))
+        attack_t3(_row_code(twin, 3))
 
 
 def test_disjoint_edges_matches_brute_force_on_injective_gammas():
