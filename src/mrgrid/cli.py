@@ -17,7 +17,8 @@ from . import bounds as bounds_mod
 from .codes import GridWord, TensorCode, decode
 from .errors import MrGridError
 from .galois import ORDER_CAP, prime_powers_upto, spec_for_order
-from .mr import attack_t3, attack_t4, certify_mr, search_mr
+from .mr import (DEFAULT_INSTANTIATION_CAP, DEFAULT_RANDOM_BUDGET, attack_t3, attack_t4,
+                 certify_mr, search_mr)
 from .patterns import enumerate_types
 
 SCHEMA = 1
@@ -159,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_parser("certify", help="certify a code file")
     sp.add_argument("--code", required=True)
-    sp.add_argument("--cap", type=int, default=10 ** 7)
+    sp.add_argument("--cap", type=_positive_int, default=DEFAULT_INSTANTIATION_CAP)
     sp.set_defaults(func=_cmd_certify)
 
     sp = add_parser("search", help="sweep field sizes for a certified MR code")
@@ -171,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"largest field order tried, at most {ORDER_CAP}")
     sp.add_argument("--strategy", choices=("greedy_indep", "random"), default="greedy_indep")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=int, default=200)
-    sp.add_argument("--cap", type=int, default=10 ** 7)
+    sp.add_argument("--budget", type=_positive_int, default=DEFAULT_RANDOM_BUDGET)
+    sp.add_argument("--cap", type=_positive_int, default=DEFAULT_INSTANTIATION_CAP)
     sp.set_defaults(func=_cmd_search)
 
     sp = add_parser("attack", help="produce an uncorrectable-pattern witness")

@@ -205,13 +205,48 @@ def decode(code: TensorCode, word: GridWord):
     return tuple(tuple(r) for r in grid)
 
 
+def block_template(spec: FieldSpec, alphas, b: int, mask) -> list[tuple]:
+    """The reduced block's layout for a u x v 0/1 mask with no empty row or column.
+
+    alphas are the column-parity coefficients of the mask's u grid rows, in
+    mask row order.  In each mask column the first erased row is the pivot;
+    every other erased cell (i, j) with pivot i0 contributes one entry
+    (j, i*b, i0*b, -alphas[i]/alphas[i0]), in column-major cell order.  With
+    the row-code columns of the v mask columns, block_rows turns the entries
+    into the rows of B transposed (see reduce_restricted).
+    """
+    template = []
+    for j, col in enumerate(zip(*mask)):
+        i0 = col.index(1)
+        neg_inv0 = spec.neg(spec.inv(alphas[i0]))
+        for i in range(i0 + 1, len(col)):
+            if col[i]:
+                template.append((j, i * b, i0 * b, spec.mul(alphas[i], neg_inv0)))
+    return template
+
+
+def block_rows(spec: FieldSpec, template, h_cols, height: int) -> list[list[int]]:
+    """One row of length height per template entry: the row-code column
+    h_cols[j] at the cell's block offset and its scaled copy at the pivot's."""
+    scale_row = spec.scale_row
+    rows = []
+    for j, off, off0, f in template:
+        hj = h_cols[j]
+        row = [0] * height
+        row[off:off + len(hj)] = hj
+        row[off0:off0 + len(hj)] = scale_row(f, hj)
+        rows.append(row)
+    return rows
+
+
 def reduce_restricted(code: TensorCode, e: ErasurePattern) -> GFMatrix:
     """Eliminate the identity part of H|_E, returning the u0*b x (|E|-v0) block B.
 
     One pivot cell per erased column (the least row) clears the column
     constraints; each remaining cell (i, j) with pivot (i0, j) leaves the
     row-code column h_j in row block i and -(alpha_i/alpha_i0) * h_j in row
-    block i0.  rank(H|_E) = v0 + rank(B).
+    block i0 (block_template holds this layout, block_rows fills it).
+    rank(H|_E) = v0 + rank(B).
     """
     t = code.topology
     if t.a != 1:
@@ -220,21 +255,11 @@ def reduce_restricted(code: TensorCode, e: ErasurePattern) -> GFMatrix:
         raise NotIrreducible("pattern has a lightly erased row or column")
     if not e.cells:
         raise NotIrreducible("empty pattern")
-    spec = code.spec
+    rows, cols = e.rows_used, e.cols_used
+    mask = [[int((i, j) in e.cells) for j in cols] for i in rows]
     alphas = code.h_col.row(0)
+    template = block_template(code.spec, [alphas[i] for i in rows], t.b, mask)
     h_cols = list(zip(*code.h_row.data))
-    b = t.b
-    top = {i: k * b for k, i in enumerate(e.rows_used)}  # first row of block i
-    height = len(top) * b
-    cols = []
-    j0 = None
-    for j, i in sorted((j, i) for i, j in e.cells):
-        if j != j0:  # the least erased row of column j is its pivot
-            j0, hj, top0 = j, h_cols[j], top[i]
-            neg_inv0 = spec.neg(spec.inv(alphas[i]))
-            continue
-        col = [0] * height
-        col[top[i]:top[i] + b] = hj
-        col[top0:top0 + b] = spec.scale_row(spec.mul(alphas[i], neg_inv0), hj)
-        cols.append(col)
-    return GFMatrix(spec, list(zip(*cols)) if cols else [[] for _ in range(height)])
+    height = len(rows) * t.b
+    block_t = block_rows(code.spec, template, [h_cols[j] for j in cols], height)
+    return GFMatrix(code.spec, list(zip(*block_t)))

@@ -16,10 +16,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .codes import TensorCode, build_pseudo_parity, is_correctable_by
+# is_correctable_by is not called here; perfbench/tracing.py wraps it at mrgrid.mr
+from .codes import (TensorCode, block_rows, block_template, build_pseudo_parity,
+                    is_correctable_by)
 from .errors import NotMds, ResourceGuard
 from .galois import FieldSpec, discrete_log, primitive_element
-from .gfmatrix import GFMatrix, every_w_columns_independent, rank
+from .gfmatrix import GFMatrix, _echelon, every_w_columns_independent, rank
 from .patterns import (ErasurePattern, Topology, enumerate_types, row_class_masks,
                        type_orbit_masks)
 
@@ -305,6 +307,14 @@ def certify_mr(code: TensorCode,
     row/column scalings), so by default one representative per row-relabeling
     class is checked and patterns_checked counts classes; dedupe_rows=False
     enumerates every embedding literally.
+
+    An instantiation E is correctable iff its reduced block B (see
+    reduce_restricted) has full column rank |E| - |V_E|.  Every type is
+    irreducible, so the sweep skips that test; for each type and choice of
+    grid rows it compiles each mask once into a block_template, and for each
+    column subset it fills the rows of B transposed (block_rows) and runs one
+    elimination.  The first rank-deficient instantiation is reported with the
+    rank of the full pseudo-parity matrix restricted to it.
     """
     t = code.topology
     if t.a != 1:
@@ -331,15 +341,23 @@ def certify_mr(code: TensorCode,
         unit = "classes" if dedupe_rows else "instantiations"
         raise ResourceGuard(f"{total} pattern {unit} exceed cap {instantiation_cap}")
 
+    spec = code.spec
+    alphas = code.h_col.row(0)
+    h_cols = list(zip(*code.h_row.data))
     checked = 0
     for pt, row_choices, masks in plans:
+        height = pt.u * t.b
         for rows in row_choices:
+            row_alphas = [alphas[i] for i in rows]
+            templates = [(mask, block_template(spec, row_alphas, t.b, mask)) for mask in masks]
             for cols in combinations(range(t.n), pt.v):
-                for mask in masks:
-                    e = ErasurePattern.of((rows[i], cols[j]) for i in range(pt.u)
-                                          for j in range(pt.v) if mask[i][j])
+                col_h = [h_cols[j] for j in cols]
+                for mask, template in templates:
                     checked += 1
-                    if not is_correctable_by(code, e):
+                    block_t = block_rows(spec, template, col_h, height)
+                    if len(_echelon(block_t, spec, height, reduced=False)) < len(template):
+                        e = ErasurePattern.of((rows[i], cols[j]) for i in range(pt.u)
+                                              for j in range(pt.v) if mask[i][j])
                         return CertReport("failed_pattern", e,
                                           _restricted_rank(code, e), checked)
     return CertReport("certified", None, None, checked)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from math import factorial
+from itertools import accumulate, combinations, permutations
+from math import comb, factorial
 
 from .errors import EmptyPattern, ResourceGuard
 
@@ -199,6 +199,45 @@ def canonical_type(e: ErasurePattern) -> PatternType:
     return PatternType(u, v, best)
 
 
+def _search_nodes(u: int, b: int) -> int:
+    """The calls of enumerate_types' column search (grow) for types with u
+    rows, or a lower bound on them above ENUMERATION_GUARD.
+
+    For each v the search visits the root and every multiset of k >= 1
+    column types (comb(u, r) types of weight r, 2 <= r <= u) whose weight w
+    satisfies w + 2(v - k) <= 2b(u - 1).  Every column weighs at least 2, so
+    a multiset meeting the bound has every sub-multiset on its search path
+    meeting it too.  At v = vmin the weight-2 multisets alone number
+    comb(comb(u, 2) + vmin, vmin) with the root; when that bound already
+    exceeds the guard it is returned, which keeps the table below small.
+    Otherwise count[k][w] counts the multisets of k columns and weight w,
+    built one weight class at a time.
+    """
+    vmin, vmax = u + b, b * (u - 1)
+    if vmin > vmax:
+        return 0
+    least = comb(comb(u, 2) + vmin, vmin)
+    if least > ENUMERATION_GUARD:
+        return least
+    cap = 2 * b * (u - 1)
+    count = [[0] * (cap + 1) for _ in range(vmax + 1)]
+    count[0][0] = 1
+    for r in range(2, u + 1):
+        kinds = comb(u, r)
+        grown = [[0] * (cap + 1) for _ in range(vmax + 1)]
+        for k in range(vmax + 1):
+            for w in range(2 * k, cap + 1):
+                x = count[k][w]
+                if not x:
+                    continue
+                for t in range(min(vmax - k, (cap - w) // r) + 1):
+                    grown[k + t][w + r * t] += x * comb(kinds + t - 1, t)
+        count = grown
+    within = [list(accumulate(row)) for row in count]  # within[k][w]: weight <= w
+    return sum(1 + sum(within[k][cap - 2 * (v - k)] for k in range(1, v + 1))
+               for v in range(vmin, vmax + 1))
+
+
 def enumerate_types(m: int, b: int) -> list[PatternType]:
     """All canonical types of regular irreducible patterns for T_{m x n}(1, b, 0).
 
@@ -206,12 +245,20 @@ def enumerate_types(m: int, b: int) -> list[PatternType]:
     n >= v, so the enumeration ranges only over u <= m and the feasibility
     window u + b <= v <= b(u - 1), with column sums >= 2, row sums >= b + 1
     and at most 2b(u - 1) cells in total (forced by regularity on the full
-    support together with irreducibility).
+    support together with irreducibility).  The column search is counted
+    first (_search_nodes) and refused before it starts when it would visit
+    more than ENUMERATION_GUARD nodes.
     """
     if m < 1 or b < 1:
         raise ValueError("need m >= 1 and b >= 1")
+    nodes = 0
+    for u in range(1, m + 1):
+        nodes += _search_nodes(u, b)
+        if nodes > ENUMERATION_GUARD:
+            raise ResourceGuard(
+                f"mask search space exceeds cap: at least {nodes} search nodes "
+                f"(types with up to {u} rows), guard {ENUMERATION_GUARD}")
     found = {}
-    explored = 0
     for u in range(1, m + 1):
         vmin, vmax = u + b, b * (u - 1)
         if vmin > vmax:
@@ -240,10 +287,6 @@ def enumerate_types(m: int, b: int) -> list[PatternType]:
                 found.setdefault((pt.u, pt.v, pt.mask), pt)
 
             def grow(start, weight):
-                nonlocal explored
-                explored += 1
-                if explored > ENUMERATION_GUARD:
-                    raise ResourceGuard("mask search space exceeds cap")
                 remaining = v - len(chosen)
                 if remaining == 0:
                     emit()

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from mrgrid import FieldSpec, GFMatrix, GridWord, TensorCode, Topology, encode
-from mrgrid.cli import run
+from mrgrid import FieldSpec, GFMatrix, GridWord, TensorCode, Topology, encode, mr
+from mrgrid.cli import build_parser, run
 from mrgrid.patterns import ErasurePattern
 from _support import is_two_sidon, simple_code
 
@@ -142,6 +142,36 @@ def test_search_without_supported_orders_is_usage_error(capsys, q_min, q_max):
                                        "--q-min", q_min, "--q-max", q_max])
     assert status == 2 and out == ""
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("extra", [["--cap", "-1"], ["--cap", "0"],
+                                   ["--strategy", "random", "--budget", "0"],
+                                   ["--budget", "-3"]])
+def test_search_cap_and_budget_must_be_positive(capsys, extra):
+    status, out, err = invoke(capsys, ["search", "--m", "4", "--b", "2", "--n", "6",
+                                       "--q-max", "16"] + extra)
+    assert status == 2 and out == ""
+    assert "Traceback" not in err
+
+
+def test_certify_cap_must_be_positive(tmp_path, capsys):
+    code_file = tmp_path / "code.json"
+    code_file.write_text(json.dumps(simple_code(FieldSpec(7), 4, 6, 2, range(6)).to_dict()))
+    status, out, _ = invoke(capsys, ["certify", "--code", str(code_file), "--cap", "0"])
+    assert status == 2 and out == ""
+    # a positive cap below the 75 row classes of T_4x6(1,2,0) trips the guard
+    status, out, err = invoke(capsys, ["certify", "--code", str(code_file), "--cap", "74"])
+    assert status == 1 and "75 pattern classes exceed cap 74" in err
+    status, out, _ = invoke(capsys, ["certify", "--code", str(code_file), "--cap", "75"])
+    assert status == 1 and json.loads(out)["report"]["verdict"] == "failed_pattern"
+
+
+def test_cap_and_budget_defaults_are_the_library_defaults():
+    args = build_parser().parse_args(["search", "--m", "4", "--b", "2", "--n", "6",
+                                      "--q-max", "16"])
+    assert (args.cap, args.budget) == (mr.DEFAULT_INSTANTIATION_CAP, mr.DEFAULT_RANDOM_BUDGET)
+    args = build_parser().parse_args(["certify", "--code", "code.json"])
+    assert args.cap == mr.DEFAULT_INSTANTIATION_CAP
 
 
 def test_search_not_found_exit_1(capsys):

@@ -11,18 +11,22 @@ from mrgrid import (ErasurePattern, FieldSpec, GFMatrix,
                     is_correctable_by, is_irreducible, is_regular, primitive_element,
                     rank, reduce_restricted, search_mr)
 from mrgrid.bounds import q_below_t3_threshold, q_below_t4_threshold
+from mrgrid.codes import block_rows, block_template
 from mrgrid.errors import NotMds, ResourceGuard
+from mrgrid.gfmatrix import _echelon
 from mrgrid.mr import E0_MASK, TYPE_II_MASK, _disjoint_edges, _greedy_values
+from mrgrid.patterns import enumerate_types, row_class_masks, type_orbit_masks
 from _support import (brute_greedy_values, f_t3, f_t4, first_certified, is_two_sidon,
-                      leibniz_determinant, mask_pattern, random_mds_rows, simple_code,
-                      spec_for_order, zero_under_some_permutation)
+                      leibniz_determinant, mask_pattern, random_mds_rows,
+                      random_nonzero_row, simple_code, spec_for_order,
+                      zero_under_some_permutation)
 
 
 # ----------------------------------------------------------------------
 # the rank-condition polynomials (raw-int oracles in _support)
 # ----------------------------------------------------------------------
 
-def test_f_poly_t4_examples():
+def test_rank_polynomial_t4_examples():
     s = FieldSpec(7)
     assert f_t4(s, [1, 3, 2, 6, 4, 5]) == 0
     # x3 = x5 = x6 kills both products
@@ -32,7 +36,7 @@ def test_f_poly_t4_examples():
     assert f_t4(s, [0, 1, 2, 3, 4, 6]) != 0
 
 
-def test_f_poly_t3_examples_and_errors():
+def test_rank_polynomial_t3_examples():
     s = FieldSpec(13)
     assert f_t3(s, [2, 2, 3, 4, 5, 6]) == 0
     # x5 = x6 makes the bracket vanish; swapping x5 and x6 negates it
@@ -40,7 +44,7 @@ def test_f_poly_t3_examples_and_errors():
     assert f_t3(s, [0, 1, 2, 3, 4, 6]) == s.neg(f_t3(s, [0, 1, 2, 3, 6, 4])) != 0
 
 
-def test_f_poly_t4_is_the_type2_rank_determinant():
+def test_rank_polynomial_t4_is_the_type2_rank_determinant():
     # the reduced Type II block B has rank 6 exactly when f is nonzero
     rng = random.Random(0)
     s = FieldSpec(17)
@@ -55,7 +59,7 @@ def test_f_poly_t4_is_the_type2_rank_determinant():
     assert zeros > 0
 
 
-def test_f_poly_t3_is_the_e0_rank_determinant():
+def test_rank_polynomial_t3_is_the_e0_rank_determinant():
     # binds the corrected bracket to the actual reduced block over many fields
     pattern = mask_pattern(E0_MASK)
     for q in (11, 13, 16, 17, 19, 23):
@@ -108,7 +112,7 @@ def test_involution_determinant_is_never_constant_zero_in_x(q):
                 assert (c1, c0) != (0, 0), (a, pair2, pair3)
 
 
-def test_f_poly_t3_bracket_matches_block_determinant():
+def test_rank_polynomial_t3_bracket_matches_block_determinant():
     # 4x4 lower block of the simplified e0 reduction, determinant vs formula
     for q in (13, 31):
         s = FieldSpec(q)
@@ -378,6 +382,80 @@ def test_certify_t4x13_gf16_always_fails():
     topo = code.topology
     assert is_regular(topo, rep.counterexample)
     assert not is_correctable_by(code, rep.counterexample, method="direct")
+
+
+def _kernel_classes(code):
+    """(pattern, kernel verdict) for every class certify_mr checks, in its order.
+
+    The kernel verdict is full row rank of the reduced block's rows, built
+    from the class's template as certify_mr builds them.
+    """
+    t, spec = code.topology, code.spec
+    h_cols = list(zip(*code.h_row.data))
+    for pt in enumerate_types(t.m, t.b):
+        if pt.v > t.n:
+            continue
+        height = pt.u * t.b
+        templates = [(mask, block_template(spec, code.h_col.row(0)[:pt.u], t.b, mask))
+                     for mask in row_class_masks(pt)]
+        for cols in combinations(range(t.n), pt.v):
+            for mask, template in templates:
+                block_t = block_rows(spec, template, [h_cols[j] for j in cols], height)
+                full = len(_echelon(block_t, spec, height, reduced=False)) == len(template)
+                yield mask_pattern(mask, cols), full
+
+
+def _direct_report(code, embeddings):
+    """certify_mr's pattern sweep with the direct rank as the only predicate."""
+    checked = 0
+    for e in embeddings:
+        checked += 1
+        if not is_correctable_by(code, e, method="direct"):
+            return ("failed_pattern", e.to_list(), checked)
+    return ("certified", None, checked)
+
+
+@pytest.mark.parametrize("m,b,n,orders", [(4, 2, 7, (7, 8)), (3, 3, 7, (7, 8)),
+                                          (4, 3, 7, (7, 8)), (3, 4, 8, (8, 11))])
+def test_kernel_verdict_matches_the_direct_rank_on_every_class(m, b, n, orders):
+    rng = random.Random(m * 100 + b * 10 + n)
+    verdicts = set()
+    for q in orders:
+        s = spec_for_order(q)
+        code = TensorCode(Topology(m, n, 1, b), random_nonzero_row(s, m, rng),
+                          random_mds_rows(s, b, n, rng))
+        classes = list(_kernel_classes(code))
+        for e, full in classes:
+            assert full == is_correctable_by(code, e, method="direct"), (q, e.to_list())
+            verdicts.add(full)
+        rep = certify_mr(code)
+        assert rep.verdict != "failed_mds"
+        got = (rep.verdict, rep.counterexample and rep.counterexample.to_list(),
+               rep.patterns_checked)
+        assert got == _direct_report(code, [e for e, _ in classes])
+    assert verdicts == {True, False}
+
+
+def test_literal_sweep_matches_the_direct_rank_on_unused_grid_rows():
+    # dedupe_rows=False places every E0 orbit mask on every 3 of the 4 grid rows
+    topo = Topology(4, 6, 1, 3)
+    verdicts = []
+    for q in (13, 16, 17):
+        rng = random.Random(q)
+        s = spec_for_order(q)
+        code = TensorCode(topo, random_nonzero_row(s, 4, rng), random_mds_rows(s, 3, 6, rng))
+        embeddings = (ErasurePattern.of((rows[i], cols[j]) for i in range(pt.u)
+                                        for j in range(pt.v) if mask[i][j])
+                      for pt in enumerate_types(4, 3) if pt.v <= 6
+                      for rows in combinations(range(4), pt.u)
+                      for cols in combinations(range(6), pt.v)
+                      for mask in type_orbit_masks(pt))
+        rep = certify_mr(code, dedupe_rows=False)
+        got = (rep.verdict, rep.counterexample and rep.counterexample.to_list(),
+               rep.patterns_checked)
+        assert got == _direct_report(code, embeddings)
+        verdicts.append(rep.verdict)
+    assert verdicts == ["failed_pattern", "failed_pattern", "certified"]
 
 
 # ----------------------------------------------------------------------

@@ -116,8 +116,12 @@ def test_enumerate_types_against_exhaustive_oracle():
 
 
 def test_enumerated_type_invariants():
-    for (m, b) in ((4, 2), (3, 3), (5, 2)):
+    # every type is irreducible and regular, so every embedding certify_mr
+    # places is too: row and column counts of a mask do not change when its
+    # rows and columns are placed on grid rows and columns
+    for (m, b) in ((4, 2), (3, 3), (4, 3), (3, 4), (5, 2)):
         types = enumerate_types(m, b)
+        assert types
         assert len(types) <= comb_le(m * b * (m - 1), 2 * b * (m - 1))
         for pt in types:
             w = pt.weight()
@@ -127,13 +131,56 @@ def test_enumerated_type_invariants():
             e = mask_pattern(pt.mask)
             topo = Topology(pt.u, pt.v, 1, b)
             assert is_irreducible(topo, e)
-            assert is_regular(topo, e, "fast")
+            assert is_regular(topo, e, "fast") and is_regular(topo, e, "brute")
 
 
 def test_enumerate_types_resource_guard(monkeypatch):
     monkeypatch.setattr(patterns, "ENUMERATION_GUARD", 10)
     with pytest.raises(ResourceGuard):
         enumerate_types(5, 3)
+
+
+def _grow_calls(u, b):
+    """Calls of enumerate_types' column search for u-row types, by running
+    the same recursion without emitting types."""
+    vmin, vmax = u + b, b * (u - 1)
+    weights = [r for r in range(2, u + 1) for _ in combinations(range(u), r)]
+    cap = 2 * b * (u - 1)
+    calls = 0
+    for v in range(vmin, vmax + 1):
+        def grow(start, weight, remaining):
+            nonlocal calls
+            calls += 1
+            if remaining == 0 or weight + 2 * remaining > cap:
+                return
+            for c in range(start, len(weights)):
+                if weight + weights[c] + 2 * (remaining - 1) <= cap:
+                    grow(c, weight + weights[c], remaining - 1)
+        grow(0, 0, v)
+    return calls
+
+
+@pytest.mark.parametrize("u,b", [(2, 2), (3, 3), (4, 2), (3, 4), (4, 3), (3, 5), (5, 2)])
+def test_search_node_count_matches_the_recursion(u, b):
+    assert patterns._search_nodes(u, b) == _grow_calls(u, b)
+
+
+def test_enumerate_types_guard_fails_fast(monkeypatch):
+    # the search for (5, 2) visits 924 + 348491 nodes; a guard one below that
+    # refuses it before searching, with the count and the guard in the message
+    assert patterns._search_nodes(4, 2) + patterns._search_nodes(5, 2) == 349415
+    guard = patterns.ENUMERATION_GUARD
+    monkeypatch.setattr(patterns, "is_regular", None)  # a search that starts fails
+    monkeypatch.setattr(patterns, "ENUMERATION_GUARD", 349414)
+    with pytest.raises(ResourceGuard, match="at least 349415 search nodes .* guard 349414"):
+        enumerate_types(5, 2)
+    # (6, 2) would visit 213,287,811 nodes under the default guard
+    monkeypatch.setattr(patterns, "ENUMERATION_GUARD", guard)
+    with pytest.raises(ResourceGuard, match="at least 213287811 search nodes"):
+        enumerate_types(6, 2)
+    # a huge b is refused from the weight-2 lower bound, before any table
+    with pytest.raises(ResourceGuard, match="types with up to 3 rows"):
+        enumerate_types(3, 10 ** 9)
 
 
 def test_instantiate_type_examples():
