@@ -92,28 +92,32 @@ class GridWord:
         return cls.of(d["entries"], d.get("erased"))
 
 
+def pseudo_parity_columns(code: TensorCode, cols) -> GFMatrix:
+    """The pseudo-parity matrix restricted to the cell indices cols (i*n + j), in order.
+
+    Every row is kept: first a column constraints per grid column j, with
+    coefficient alpha_i^(k) at cell (i, j), then b row constraints per grid
+    row i, with h_row's entry k at each cell of row i.
+    """
+    t = code.topology
+    m, n = t.m, t.n
+    cells = []
+    for c in cols:
+        if not 0 <= c < m * n:
+            raise ValueError(f"cell index {c} outside the {m}x{n} grid")
+        cells.append(divmod(c, n))
+    rows = [[hk[ci] if cj == j else 0 for ci, cj in cells]
+            for j in range(n) for hk in code.h_col.data]
+    rows += [[hk[cj] if ci == i else 0 for ci, cj in cells]
+             for i in range(m) for hk in code.h_row.data]
+    return GFMatrix(code.spec, rows)
+
+
 @lru_cache(maxsize=64)
 def build_pseudo_parity(code: TensorCode) -> GFMatrix:
     """The (a*n + b*m) x (m*n) matrix of all row and column parity constraints."""
     t = code.topology
-    m, n, a, b = t.m, t.n, t.a, t.b
-    spec = code.spec
-    rows = []
-    # column constraints: a rows per grid column j, coefficient alpha_i^(k) at cell (i, j)
-    for j in range(n):
-        for k in range(a):
-            row = [0] * (m * n)
-            for i in range(m):
-                row[i * n + j] = code.h_col[k, i]
-            rows.append(row)
-    # row constraints: b rows per grid row i, h_row copied into the i-th block
-    for i in range(m):
-        for k in range(b):
-            row = [0] * (m * n)
-            hr = code.h_row.row(k)
-            row[i * n:(i + 1) * n] = list(hr)
-            rows.append(row)
-    return GFMatrix(spec, rows)
+    return pseudo_parity_columns(code, range(t.m * t.n))
 
 
 def _pattern_columns(code: TensorCode, e: ErasurePattern) -> list[int]:

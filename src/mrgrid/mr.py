@@ -4,6 +4,11 @@ The two supported attack topologies are T_{4xn}(1,2,0) and T_{3xn}(1,3,0).
 Their pattern types are fixed six-column masks, and a mask placed on six
 columns is uncorrectable exactly when the determinant of its reduced
 pseudo-parity block (the paper's rank-condition polynomial f) vanishes.
+For the paired types (Type II and E0) one 6x6 minor of that block is, up
+to nonzero column-parity factors, a 3x3 determinant D with one row per
+column pair: the pair's binary quadratic form for Type II, the line through
+its two points for E0.  certify_mr evaluates D first and eliminates only
+when D = 0.
 Every attack validates its witness before returning: the witness pattern must
 be rank-deficient in the code's own pseudo-parity matrix, the same matrix and
 rank computation behind every rank the package reports.
@@ -16,9 +21,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-# is_correctable_by is not called here; perfbench/tracing.py wraps it at mrgrid.mr
+# build_pseudo_parity and is_correctable_by are not called here;
+# perfbench/tracing.py wraps them at mrgrid.mr
 from .codes import (TensorCode, block_rows, block_template, build_pseudo_parity,
-                    is_correctable_by)
+                    is_correctable_by, pseudo_parity_columns)
 from .errors import NotMds, ResourceGuard
 from .galois import FieldSpec, discrete_log, primitive_element
 from .gfmatrix import GFMatrix, _echelon, every_w_columns_independent, rank
@@ -125,9 +131,8 @@ def _masked_pattern(mask, columns) -> ErasurePattern:
 
 
 def _restricted_rank(code: TensorCode, pattern: ErasurePattern) -> int:
-    h = build_pseudo_parity(code)
     cols = [i * code.topology.n + j for i, j in sorted(pattern.cells)]
-    return rank(h.restrict_columns(cols))
+    return rank(pseudo_parity_columns(code, cols))
 
 
 def _check_attack_shape(code: TensorCode, b: int, min_m: int):
@@ -292,6 +297,75 @@ def find_difference_collision(gammas: dict, spec: FieldSpec):
 
 
 # ----------------------------------------------------------------------
+# pair determinants
+# ----------------------------------------------------------------------
+
+def _form_row(spec: FieldSpec, p, r) -> tuple:
+    """The binary quadratic form (y*s - x*t)(y'*s - x'*t) of the points
+    p = (x, y) and r = (x', y') of P^1, as its s^2, -s*t and t^2 coefficients."""
+    mul = spec.mul
+    (x, y), (x2, y2) = p, r
+    return mul(y, y2), spec.add(mul(x, y2), mul(x2, y)), mul(x, x2)
+
+
+def _cross_row(spec: FieldSpec, p, r) -> tuple:
+    """The cross product p x r: the line through the points p and r of P^2."""
+    mul, sub = spec.mul, spec.sub
+    return (sub(mul(p[1], r[2]), mul(p[2], r[1])),
+            sub(mul(p[2], r[0]), mul(p[0], r[2])),
+            sub(mul(p[0], r[1]), mul(p[1], r[0])))
+
+
+def _mask_pairing(mask):
+    """(pair row, three column pairs) for a Type II or E0 mask, else None.
+
+    A 4-row mask whose six columns have the six distinct 2-row supports is
+    Type II; its columns pair by complementary supports, and a pair's row is
+    its binary quadratic form (_form_row).  A 3-row mask whose six 2-row
+    supports each occur twice is E0; its columns pair by equal supports, and
+    a pair's row is the line through its two points (_cross_row).  Both
+    rules survive any row or column permutation, so they hold on every mask
+    of the two types' orbits.
+    """
+    if len(mask[0]) != 6:
+        return None
+    supports = [frozenset(i for i, x in enumerate(col) if x) for col in zip(*mask)]
+    if any(len(s) != 2 for s in supports):
+        return None
+    if len(mask) == 4 and len(set(supports)) == 6:
+        pair_row, partner = _form_row, frozenset(range(4)).difference
+    elif len(mask) == 3 and all(supports.count(s) == 2 for s in supports):
+        pair_row, partner = _cross_row, frozenset
+    else:
+        return None
+    partners = [next(k for k, r in enumerate(supports) if k != j and r == partner(s))
+                for j, s in enumerate(supports)]
+    return pair_row, tuple((j, k) for j, k in enumerate(partners) if j < k)
+
+
+def _pair_determinant(spec: FieldSpec, pairing, h_cols) -> int:
+    """D: the 3x3 determinant of the pair rows of a _mask_pairing on the six
+    row-code columns h_cols (in mask column order).
+
+    D = 0 says the three pairs are in involution (Type II) or that their
+    three lines meet in one point (E0).  The 6x6 minor on the first six rows
+    of the reduced block of TYPE_II_MASK (E0_MASK) is D times
+    -a3^3/(a0^2*a1) (-a2^4/(a0^3*a1)) in the column-parity coefficients a_i
+    of its rows; tests/test_mr.py proves both identities with sympy.  Any
+    other mask of the type erases the same cells as the named mask on
+    permuted rows and columns, and its pairing permutes along, so D != 0
+    makes every class correctable once the a_i are nonzero.
+    """
+    pair_row, pairs = pairing
+    (a, b, c), (d, e, f), (g, h, i) = [pair_row(spec, h_cols[j], h_cols[k])
+                                       for j, k in pairs]
+    mul, sub = spec.mul, spec.sub
+    return spec.add(sub(mul(a, sub(mul(e, i), mul(f, h))),
+                        mul(b, sub(mul(d, i), mul(f, g)))),
+                    mul(c, sub(mul(d, h), mul(e, g))))
+
+
+# ----------------------------------------------------------------------
 # certification
 # ----------------------------------------------------------------------
 
@@ -314,7 +388,15 @@ def certify_mr(code: TensorCode,
     grid rows it compiles each mask once into a block_template, and for each
     column subset it fills the rows of B transposed (block_rows) and runs one
     elimination.  The first rank-deficient instantiation is reported with the
-    rank of the full pseudo-parity matrix restricted to it.
+    rank of the pseudo-parity matrix restricted to it.
+
+    Type II masks (b = 2) and E0 masks (b = 3) are paired once per mask
+    (_mask_pairing), and each of their classes first evaluates one 3x3 pair
+    determinant D on its six row-code columns.  A 6x6 minor of B is D times
+    a product of column-parity coefficients, which the MDS check has made
+    nonzero, so D != 0 proves the class correctable and it skips the
+    elimination.  A class with D = 0 is eliminated as any other, which keeps
+    the verdict, counterexample and patterns_checked of the plain sweep.
     """
     t = code.topology
     if t.a != 1:
@@ -335,7 +417,7 @@ def certify_mr(code: TensorCode,
         else:
             row_choices = list(combinations(range(t.m), pt.u))
             masks = type_orbit_masks(pt)
-        plans.append((pt, row_choices, masks))
+        plans.append((pt, row_choices, [(mask, _mask_pairing(mask)) for mask in masks]))
         total += len(row_choices) * comb(t.n, pt.v) * len(masks)
     if total > instantiation_cap:
         unit = "classes" if dedupe_rows else "instantiations"
@@ -349,11 +431,14 @@ def certify_mr(code: TensorCode,
         height = pt.u * t.b
         for rows in row_choices:
             row_alphas = [alphas[i] for i in rows]
-            templates = [(mask, block_template(spec, row_alphas, t.b, mask)) for mask in masks]
+            templates = [(mask, pairing, block_template(spec, row_alphas, t.b, mask))
+                         for mask, pairing in masks]
             for cols in combinations(range(t.n), pt.v):
                 col_h = [h_cols[j] for j in cols]
-                for mask, template in templates:
+                for mask, pairing, template in templates:
                     checked += 1
+                    if pairing and _pair_determinant(spec, pairing, col_h):
+                        continue
                     block_t = block_rows(spec, template, col_h, height)
                     if len(_echelon(block_t, spec, height, reduced=False)) < len(template):
                         e = ErasurePattern.of((rows[i], cols[j]) for i in range(pt.u)

@@ -6,6 +6,7 @@ import pytest
 from mrgrid import (ErasurePattern, FieldSpec, GFMatrix, GridWord, TensorCode,
                     Topology, build_pseudo_parity, decode, encode,
                     is_correctable_by, is_regular, rank, reduce_restricted)
+from mrgrid.codes import pseudo_parity_columns
 from mrgrid.errors import (DimensionMismatch, InconsistentWord, NotIrreducible,
                            Uncorrectable)
 from mrgrid.mr import E0_MASK, TYPE_I_MASK, TYPE_II_MASK
@@ -35,6 +36,24 @@ def test_pseudo_parity_dimensions_random_shapes():
         code = TensorCode(Topology(m, n, a, b), h_col, h_row)
         h = build_pseudo_parity(code)
         assert (h.rows, h.cols) == (a * n + b * m, m * n)
+
+
+def test_pseudo_parity_columns_is_the_restricted_pseudo_parity():
+    # both attack shapes, prime and GF(2^k); column lists in any order,
+    # including the sorted twelve cells the attacks rank
+    rng = random.Random(5)
+    for q in (13, 16, 31, 32):
+        s = spec_for_order(q)
+        for m, b, n in ((4, 2, 9), (3, 3, 8)):
+            code = TensorCode(Topology(m, n, 1, b), random_nonzero_row(s, m, rng),
+                              random_mds_rows(s, b, n, rng))
+            full = build_pseudo_parity(code)
+            picks = [rng.sample(range(m * n), rng.randrange(1, 13)) for _ in range(8)]
+            picks.append(sorted(rng.sample(range(m * n), 12)))
+            for cols in picks:
+                assert pseudo_parity_columns(code, cols) == full.restrict_columns(cols)
+            with pytest.raises(ValueError):
+                pseudo_parity_columns(code, [0, m * n])
 
 
 def test_pseudo_parity_annihilates_codewords():

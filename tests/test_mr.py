@@ -14,8 +14,11 @@ from mrgrid.bounds import q_below_t3_threshold, q_below_t4_threshold
 from mrgrid.codes import block_rows, block_template
 from mrgrid.errors import NotMds, ResourceGuard
 from mrgrid.gfmatrix import _echelon
-from mrgrid.mr import E0_MASK, TYPE_II_MASK, _disjoint_edges, _greedy_values
-from mrgrid.patterns import enumerate_types, row_class_masks, type_orbit_masks
+from mrgrid import mr
+from mrgrid.mr import (E0_MASK, TYPE_I_MASK, TYPE_II_MASK, _cross_row, _disjoint_edges,
+                       _form_row, _greedy_values, _mask_pairing, _pair_determinant)
+from mrgrid.patterns import (canonical_type, enumerate_types, row_class_masks,
+                             type_orbit_masks)
 from _support import (brute_greedy_values, f_t3, f_t4, first_certified, is_two_sidon,
                       leibniz_determinant, mask_pattern, random_mds_rows,
                       random_nonzero_row, simple_code, spec_for_order,
@@ -459,6 +462,125 @@ def test_literal_sweep_matches_the_direct_rank_on_unused_grid_rows():
 
 
 # ----------------------------------------------------------------------
+# pair determinants
+# ----------------------------------------------------------------------
+
+def _symbolic_minor(mask, b):
+    """The 6x6 minor on the first six rows of mask's reduced block B, with
+    symbolic column-parity coefficients a0.. and row-code entries h<k><j>, and
+    the pair determinant D when mask is paired.  Both come from the library's
+    own block_template, block_rows and _pair_determinant run on sympy
+    expressions."""
+    sp = pytest.importorskip("sympy")
+    ring = SimpleNamespace(add=operator.add, sub=operator.sub, mul=operator.mul,
+                           neg=operator.neg, inv=lambda x: 1 / x,
+                           scale_row=lambda f, row: [f * x for x in row])
+    alphas = sp.symbols(f"a0:{len(mask)}")
+    h_cols = [tuple(sp.Symbol(f"h{k}{j}") for k in range(b)) for j in range(6)]
+    template = block_template(ring, alphas, b, mask)
+    block = sp.Matrix(block_rows(ring, template, h_cols, len(mask) * b))
+    assert block.shape == (6, len(mask) * b)
+    minor = block[:, :6].det(method="berkowitz")
+    pairing = _mask_pairing(mask)
+    d = _pair_determinant(ring, pairing, h_cols) if pairing else None
+    return sp, minor, d, alphas, h_cols
+
+
+def test_type2_minor_is_the_involution_determinant():
+    sp, minor, d, (a0, a1, a2, a3), _ = _symbolic_minor(TYPE_II_MASK, 2)
+    assert sp.cancel(minor + d * a3 ** 3 / (a0 ** 2 * a1)) == 0
+    assert sp.expand(d) != 0
+
+
+def test_e0_minor_is_the_concurrency_determinant():
+    sp, minor, d, (a0, a1, a2), _ = _symbolic_minor(E0_MASK, 3)
+    assert sp.cancel(minor + d * a2 ** 4 / (a0 ** 3 * a1)) == 0
+    assert sp.expand(d) != 0
+
+
+def test_type1_minor_factors_into_three_2x2_minors():
+    # every Type I class is correctable once h_row is MDS; certify_mr does
+    # not use this yet
+    sp, minor, d, (a0, a1, a2, a3), h = _symbolic_minor(TYPE_I_MASK, 2)
+    assert d is None
+    pair_minors = [h[j][0] * h[k][1] - h[j][1] * h[k][0] for j, k in ((0, 1), (2, 3), (4, 5))]
+    assert sp.cancel(minor - sp.Mul(*pair_minors) * a3 ** 3 / (a0 ** 2 * a2)) == 0
+
+
+def test_mask_pairing_on_every_mask_of_both_paired_types():
+    type2, e0 = canonical_type(mask_pattern(TYPE_II_MASK)), canonical_type(mask_pattern(E0_MASK))
+    for m, b in ((4, 2), (3, 3), (5, 2), (4, 3)):
+        for pt in enumerate_types(m, b):
+            if pt.v > 7:
+                continue
+            masks = set(row_class_masks(pt))
+            if pt.v == 6:
+                masks.update(type_orbit_masks(pt))
+            if pt not in (type2, e0):
+                assert all(_mask_pairing(mask) is None for mask in masks), pt
+                continue
+            for mask in masks:
+                pair_row, pairs = _mask_pairing(mask)
+                assert pair_row is (_form_row if pt == type2 else _cross_row)
+                assert len(pairs) == 3 and sorted(j for p in pairs for j in p) == list(range(6))
+                for j, k in pairs:
+                    sj = {i for i in range(pt.u) if mask[i][j]}
+                    sk = {i for i in range(pt.u) if mask[i][k]}
+                    assert len(sj) == len(sk) == 2
+                    assert sk == (set(range(4)) - sj if pt == type2 else sj)
+
+
+@pytest.mark.parametrize("m,b", [(4, 2), (3, 3)])
+def test_nonzero_pair_determinant_classes_are_correctable(m, b):
+    # every row choice of an (m+1)-row grid, every row-class mask and column
+    # subset; h_row is drawn uniformly until MDS, so E0 columns need not lie
+    # on a conic
+    rng = random.Random(10 * m + b)
+    n = 7
+    verdicts = set()
+    for q in (11, 13, 16, 32):
+        s = spec_for_order(q)
+        h_row = None
+        while h_row is None or not every_w_columns_independent(h_row, b):
+            h_row = GFMatrix(s, [[rng.randrange(q) for _ in range(n)] for _ in range(b)])
+        code = TensorCode(Topology(m + 1, n, 1, b), random_nonzero_row(s, m + 1, rng), h_row)
+        h_cols = list(zip(*code.h_row.data))
+        for pt in enumerate_types(m, b):
+            for mask in row_class_masks(pt):
+                pairing = _mask_pairing(mask)
+                if pairing is None:
+                    continue
+                for cols in combinations(range(n), 6):
+                    d = _pair_determinant(s, pairing, [h_cols[j] for j in cols])
+                    verdicts.add(d != 0)
+                    if not d:
+                        continue
+                    for rows in combinations(range(m + 1), pt.u):
+                        e = ErasurePattern.of((rows[i], cols[j]) for i in range(pt.u)
+                                              for j in range(6) if mask[i][j])
+                        assert is_correctable_by(code, e, method="direct"), (q, e.to_list())
+    assert verdicts == {True, False}
+
+
+def test_involution_free_code_takes_the_determinant_path_on_every_type2_class(monkeypatch):
+    # the code `search --m 4 --b 2 --n 8` reports: greedy values, q = 79
+    code = search_mr(4, 2, 8, spec_for_order(79))
+    assert code is not None
+    eliminations = []
+
+    def counted(rows, spec, pivot_cols, reduced):
+        eliminations.append(len(rows))
+        return _echelon(rows, spec, pivot_cols, reduced)
+
+    monkeypatch.setattr(mr, "_echelon", counted)
+    rep = certify_mr(code)
+    assert (rep.verdict, rep.patterns_checked) == ("certified", 2100)
+    # C(8, 6) column subsets times 45 Type I and 30 Type II row classes:
+    # only the Type I classes run an elimination
+    assert len(eliminations) == 28 * 45 == 2100 - 28 * 30
+
+
+# ----------------------------------------------------------------------
 # search
 # ----------------------------------------------------------------------
 
@@ -547,7 +669,8 @@ def test_certify_dedupe_with_unused_grid_rows():
 
 
 def test_certify_dedupe_matches_literal_sweep_t4x6_b3():
-    # T_4x6(1,3,0) has one usable type (u = 4, v = 6, 15 row classes, 360 masks)
+    # T_4x6(1,3,0) has one usable type, E0 (u = 3, v = 6): 15 row classes, or
+    # its 90 orbit masks on each of the 4 row choices
     topo = Topology(4, 6, 1, 3)
     bad = simple_code(FieldSpec(13), 4, 6, 3, [0, 1, 3, 7, 9, 12])
     good = simple_code(FieldSpec(1009), 4, 6, 3, [3, 17, 101, 444, 700, 958])
