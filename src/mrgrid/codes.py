@@ -5,6 +5,12 @@ i*n + j (0-based), matching a codeword written out row by row.  The
 pseudo-parity matrix stacks all column constraints (a rows per grid column)
 over a block diagonal of row-code parity matrices (b rows per grid row),
 giving (a*n + b*m) x (m*n) in total.
+
+For a = 1 and nonzero column coefficients, a pattern's rank test shrinks to
+the reduced block of reduce_restricted: (u-1)*b rows for a pattern on u grid
+rows, laid out from the pattern's mask alone (block_template) and filled
+with the row-code columns and their negations (block_rows).  It carries no
+column coefficient, so one layout per mask serves every code.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from functools import lru_cache
 from .errors import (DimensionMismatch, Inconsistent, InconsistentWord,
                      NotIrreducible, RankDeficient, Uncorrectable)
 from .galois import FieldSpec
-from .gfmatrix import GFMatrix, rank, solve_unique
+from .gfmatrix import GFMatrix, list_of_rows, rank, solve_unique
 from .patterns import ErasurePattern, Topology, is_irreducible
 
 
@@ -89,7 +95,12 @@ class GridWord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridWord":
-        return cls.of(d["entries"], d.get("erased"))
+        erased = d.get("erased")
+        if erased is not None and not all(
+                len(cell) == 2 and all(isinstance(x, int) for x in cell)
+                for cell in list_of_rows(erased, "erased cells")):
+            raise ValueError("erased cells must be [row, column] integer pairs")
+        return cls.of(list_of_rows(d["entries"], "word entries"), erased)
 
 
 def pseudo_parity_columns(code: TensorCode, cols) -> GFMatrix:
@@ -209,47 +220,62 @@ def decode(code: TensorCode, word: GridWord):
     return tuple(tuple(r) for r in grid)
 
 
-def block_template(spec: FieldSpec, alphas, b: int, mask) -> list[tuple]:
+def block_template(b: int, mask) -> list[tuple]:
     """The reduced block's layout for a u x v 0/1 mask with no empty row or column.
 
-    alphas are the column-parity coefficients of the mask's u grid rows, in
-    mask row order.  In each mask column the first erased row is the pivot;
-    every other erased cell (i, j) with pivot i0 contributes one entry
-    (j, i*b, i0*b, -alphas[i]/alphas[i0]), in column-major cell order.  With
-    the row-code columns of the v mask columns, block_rows turns the entries
-    into the rows of B transposed (see reduce_restricted).
+    In each mask column the first erased row is the pivot; every other
+    erased cell (i, j) with pivot i0 contributes one entry (j, i*b, i0*b), in
+    column-major cell order, with None for i*b when i is the mask's last row.
+    With the row-code columns h_j of the v mask columns, block_rows turns the
+    entries into the rows of B transposed: h_j at row block i, -h_j at row
+    block i0, and row block u-1 left out, so the height is (u-1)*b (see
+    reduce_restricted for why that keeps the rank).  The layout depends on
+    the mask alone, not on the code.
     """
+    last = len(mask) - 1
     template = []
     for j, col in enumerate(zip(*mask)):
         i0 = col.index(1)
-        neg_inv0 = spec.neg(spec.inv(alphas[i0]))
         for i in range(i0 + 1, len(col)):
             if col[i]:
-                template.append((j, i * b, i0 * b, spec.mul(alphas[i], neg_inv0)))
+                template.append((j, i * b if i < last else None, i0 * b))
     return template
 
 
-def block_rows(spec: FieldSpec, template, h_cols, height: int) -> list[list[int]]:
+def block_rows(template, h_cols, neg_cols, height: int) -> list[list[int]]:
     """One row of length height per template entry: the row-code column
-    h_cols[j] at the cell's block offset and its scaled copy at the pivot's."""
-    scale_row = spec.scale_row
+    h_cols[j] at the cell's block offset (unless it is None) and its negation
+    neg_cols[j] at the pivot's."""
     rows = []
-    for j, off, off0, f in template:
-        hj = h_cols[j]
+    for j, off, off0 in template:
         row = [0] * height
-        row[off:off + len(hj)] = hj
-        row[off0:off0 + len(hj)] = scale_row(f, hj)
+        if off is not None:
+            hj = h_cols[j]
+            row[off:off + len(hj)] = hj
+        nj = neg_cols[j]
+        row[off0:off0 + len(nj)] = nj
         rows.append(row)
     return rows
 
 
+def negated_columns(code: TensorCode) -> tuple[list, list]:
+    """The row-code columns h_j of code and their negations -h_j (in GF(2^k)
+    -h_j is h_j itself)."""
+    h_cols = list(zip(*code.h_row.data))
+    return h_cols, [tuple(map(code.spec.neg, col)) for col in h_cols]
+
+
 def reduce_restricted(code: TensorCode, e: ErasurePattern) -> GFMatrix:
-    """Eliminate the identity part of H|_E, returning the u0*b x (|E|-v0) block B.
+    """Eliminate the identity part of H|_E, returning the (u0-1)*b x (|E|-v0) block B.
 
     One pivot cell per erased column (the least row) clears the column
     constraints; each remaining cell (i, j) with pivot (i0, j) leaves the
     row-code column h_j in row block i and -(alpha_i/alpha_i0) * h_j in row
-    block i0 (block_template holds this layout, block_rows fills it).
+    block i0.  Scaling row block k by alpha_k and each cell's row of B
+    transposed by 1/alpha_i turns that into h_j and -h_j, so the rank does
+    not depend on the alphas once they are nonzero.  Every such row then has
+    zero block sum, so the last row block is minus the sum of the others and
+    is left out.  block_template holds this layout, block_rows fills it, and
     rank(H|_E) = v0 + rank(B).
     """
     t = code.topology
@@ -260,10 +286,11 @@ def reduce_restricted(code: TensorCode, e: ErasurePattern) -> GFMatrix:
     if not e.cells:
         raise NotIrreducible("empty pattern")
     rows, cols = e.rows_used, e.cols_used
+    if not all(code.h_col[0, i] for i in rows):
+        raise ValueError("the reduction needs nonzero column-parity coefficients")
     mask = [[int((i, j) in e.cells) for j in cols] for i in rows]
-    alphas = code.h_col.row(0)
-    template = block_template(code.spec, [alphas[i] for i in rows], t.b, mask)
-    h_cols = list(zip(*code.h_row.data))
-    height = len(rows) * t.b
-    block_t = block_rows(code.spec, template, [h_cols[j] for j in cols], height)
+    template = block_template(t.b, mask)
+    h_cols, neg_cols = negated_columns(code)
+    block_t = block_rows(template, [h_cols[j] for j in cols], [neg_cols[j] for j in cols],
+                         (len(rows) - 1) * t.b)
     return GFMatrix(code.spec, list(zip(*block_t)))

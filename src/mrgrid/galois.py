@@ -67,6 +67,9 @@ class FieldSpec:
     """Description of GF(p^k); prime fields of any p, extensions only over GF(2)."""
 
     def __init__(self, p: int, k: int = 1, modulus: int | None = None):
+        # before the trial division, which a huge p would keep busy for hours
+        if p > ORDER_CAP:
+            raise ValueError(f"characteristic {p} exceeds the field order cap {ORDER_CAP}")
         if not _is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if k < 1:
@@ -220,7 +223,13 @@ class FieldSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FieldSpec":
-        return cls(d["p"], d.get("k", 1), d.get("modulus"))
+        if not isinstance(d, dict):
+            raise ValueError(f"a field must be an object, got {type(d).__name__}")
+        p, k, modulus = d["p"], d.get("k", 1), d.get("modulus")
+        if not (isinstance(p, int) and isinstance(k, int)
+                and (modulus is None or isinstance(modulus, int))):
+            raise ValueError(f"field p, k and modulus must be integers, got {d!r}")
+        return cls(p, k, modulus)
 
     def __eq__(self, other):
         return (isinstance(other, FieldSpec)

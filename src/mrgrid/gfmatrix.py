@@ -63,7 +63,9 @@ class GFMatrix:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GFMatrix":
-        return cls(FieldSpec.from_dict(d["field"]), d["data"])
+        if not isinstance(d, dict):
+            raise ValueError(f"a matrix must be an object, got {type(d).__name__}")
+        return cls(FieldSpec.from_dict(d["field"]), list_of_rows(d["data"], "matrix data"))
 
     def __eq__(self, other):
         return (isinstance(other, GFMatrix) and self.spec == other.spec
@@ -74,6 +76,13 @@ class GFMatrix:
 
     def __repr__(self):
         return f"GFMatrix({self.spec}, {self.rows}x{self.cols})"
+
+
+def list_of_rows(data, what: str) -> list:
+    """data, checked to be a list of lists (the JSON form of a matrix or grid)."""
+    if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
+        raise ValueError(f"{what} must be a list of rows, each a list")
+    return data
 
 
 def _echelon(rows: list[list[int]], spec: FieldSpec, pivot_cols: int, reduced: bool):

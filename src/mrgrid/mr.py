@@ -4,8 +4,8 @@ The two supported attack topologies are T_{4xn}(1,2,0) and T_{3xn}(1,3,0).
 Their pattern types are fixed six-column masks, and a mask placed on six
 columns is uncorrectable exactly when the determinant of its reduced
 pseudo-parity block (the paper's rank-condition polynomial f) vanishes.
-For the paired types (Type II and E0) one 6x6 minor of that block is, up
-to nonzero column-parity factors, a 3x3 determinant D with one row per
+For the paired types (Type II and E0) that block is 6x6, and on the masks
+below its determinant is -D, for a 3x3 determinant D with one row per
 column pair: the pair's binary quadratic form for Type II, the line through
 its two points for E0.  certify_mr evaluates D first and eliminates only
 when D = 0.
@@ -24,7 +24,7 @@ from math import comb
 # build_pseudo_parity and is_correctable_by are not called here;
 # perfbench/tracing.py wraps them at mrgrid.mr
 from .codes import (TensorCode, block_rows, block_template, build_pseudo_parity,
-                    is_correctable_by, pseudo_parity_columns)
+                    is_correctable_by, negated_columns, pseudo_parity_columns)
 from .errors import NotMds, ResourceGuard
 from .galois import FieldSpec, discrete_log, primitive_element
 from .gfmatrix import GFMatrix, _echelon, every_w_columns_independent, rank
@@ -348,13 +348,12 @@ def _pair_determinant(spec: FieldSpec, pairing, h_cols) -> int:
     row-code columns h_cols (in mask column order).
 
     D = 0 says the three pairs are in involution (Type II) or that their
-    three lines meet in one point (E0).  The 6x6 minor on the first six rows
-    of the reduced block of TYPE_II_MASK (E0_MASK) is D times
-    -a3^3/(a0^2*a1) (-a2^4/(a0^3*a1)) in the column-parity coefficients a_i
-    of its rows; tests/test_mr.py proves both identities with sympy.  Any
-    other mask of the type erases the same cells as the named mask on
-    permuted rows and columns, and its pairing permutes along, so D != 0
-    makes every class correctable once the a_i are nonzero.
+    three lines meet in one point (E0).  The reduced block of TYPE_II_MASK
+    and of E0_MASK is 6x6 with determinant -D; tests/test_mr.py proves both
+    identities with sympy.  Any other mask of the type erases the same cells
+    as the named mask on permuted rows and columns, and its pairing permutes
+    along, so its block has the same rank and D != 0 makes every class
+    correctable.
     """
     pair_row, pairs = pairing
     (a, b, c), (d, e, f), (g, h, i) = [pair_row(spec, h_cols[j], h_cols[k])
@@ -383,20 +382,26 @@ def certify_mr(code: TensorCode,
     enumerates every embedding literally.
 
     An instantiation E is correctable iff its reduced block B (see
-    reduce_restricted) has full column rank |E| - |V_E|.  Every type is
-    irreducible, so the sweep skips that test; for each type and choice of
-    grid rows it compiles each mask once into a block_template, and for each
-    column subset it fills the rows of B transposed (block_rows) and runs one
-    elimination.  The first rank-deficient instantiation is reported with the
-    rank of the pseudo-parity matrix restricted to it.
+    reduce_restricted) has full column rank |E| - |V_E|.  The MDS check has
+    made every column-parity coefficient nonzero, so they drop out of that
+    rank and B's layout depends on the mask alone: each non-pivot cell puts
+    h_j at its row block and -h_j at its pivot's, and the last row block
+    (minus the sum of the others) is left out.  Every type is
+    irreducible, so the sweep skips that test; it compiles each mask once
+    into a block_template, negates each row-code column once, and for each
+    grid-row choice and column subset fills the rows of B transposed
+    (block_rows) and runs one elimination.  The first rank-deficient
+    instantiation is reported with the rank of the pseudo-parity matrix
+    restricted to it.
 
     Type II masks (b = 2) and E0 masks (b = 3) are paired once per mask
     (_mask_pairing), and each of their classes first evaluates one 3x3 pair
-    determinant D on its six row-code columns.  A 6x6 minor of B is D times
-    a product of column-parity coefficients, which the MDS check has made
-    nonzero, so D != 0 proves the class correctable and it skips the
-    elimination.  A class with D = 0 is eliminated as any other, which keeps
-    the verdict, counterexample and patterns_checked of the plain sweep.
+    determinant D on its six row-code columns.  B is then 6x6, of the same
+    rank as the block of TYPE_II_MASK or E0_MASK on permuted columns, whose
+    determinant is -D; so D != 0 proves the class correctable and it skips
+    the elimination.  A class with D = 0 is eliminated as any other, which
+    keeps the verdict, counterexample and patterns_checked of the plain
+    sweep.
     """
     t = code.topology
     if t.a != 1:
@@ -424,22 +429,20 @@ def certify_mr(code: TensorCode,
         raise ResourceGuard(f"{total} pattern {unit} exceed cap {instantiation_cap}")
 
     spec = code.spec
-    alphas = code.h_col.row(0)
-    h_cols = list(zip(*code.h_row.data))
+    h_cols, neg_cols = negated_columns(code)
     checked = 0
     for pt, row_choices, masks in plans:
-        height = pt.u * t.b
+        height = (pt.u - 1) * t.b
+        templates = [(mask, pairing, block_template(t.b, mask)) for mask, pairing in masks]
         for rows in row_choices:
-            row_alphas = [alphas[i] for i in rows]
-            templates = [(mask, pairing, block_template(spec, row_alphas, t.b, mask))
-                         for mask, pairing in masks]
             for cols in combinations(range(t.n), pt.v):
                 col_h = [h_cols[j] for j in cols]
+                col_neg = [neg_cols[j] for j in cols]
                 for mask, pairing, template in templates:
                     checked += 1
                     if pairing and _pair_determinant(spec, pairing, col_h):
                         continue
-                    block_t = block_rows(spec, template, col_h, height)
+                    block_t = block_rows(template, col_h, col_neg, height)
                     if len(_echelon(block_t, spec, height, reduced=False)) < len(template):
                         e = ErasurePattern.of((rows[i], cols[j]) for i in range(pt.u)
                                               for j in range(pt.v) if mask[i][j])

@@ -36,6 +36,8 @@ class Topology:
     b: int
 
     def __post_init__(self):
+        if not all(isinstance(x, int) for x in (self.m, self.n, self.a, self.b)):
+            raise ValueError(f"m, n, a and b must be integers, got {self!r}")
         if self.m < 1 or self.n < 1:
             raise ValueError("grid dimensions must be positive")
         if not 0 <= self.a <= self.m - 1:
@@ -200,10 +202,12 @@ def canonical_type(e: ErasurePattern) -> PatternType:
 
 
 def _search_nodes(u: int, b: int) -> int:
-    """The calls of enumerate_types' column search (grow) for types with u
-    rows, or a lower bound on them above ENUMERATION_GUARD.
+    """The calls of the unpruned column search for types with u rows, or a
+    lower bound on them above ENUMERATION_GUARD.
 
-    For each v the search visits the root and every multiset of k >= 1
+    The unpruned search is enumerate_types' grow without its row-count
+    bound, so this count is an upper bound on the nodes enumerate_types
+    visits.  For each v it visits the root and every multiset of k >= 1
     column types (comb(u, r) types of weight r, 2 <= r <= u) whose weight w
     satisfies w + 2(v - k) <= 2b(u - 1).  Every column weighs at least 2, so
     a multiset meeting the bound has every sub-multiset on its search path
@@ -245,9 +249,14 @@ def enumerate_types(m: int, b: int) -> list[PatternType]:
     n >= v, so the enumeration ranges only over u <= m and the feasibility
     window u + b <= v <= b(u - 1), with column sums >= 2, row sums >= b + 1
     and at most 2b(u - 1) cells in total (forced by regularity on the full
-    support together with irreducibility).  The column search is counted
-    first (_search_nodes) and refused before it starts when it would visit
-    more than ENUMERATION_GUARD nodes.
+    support together with irreducibility).  The column search keeps the row
+    counts as it grows and stops a branch once the lightest row cannot reach
+    b + 1 with the columns left.  Every row order of a column multiset is a
+    leaf of the search, and regularity and canonical_type do not depend on
+    the row order, so only leaves with non-increasing row counts are tested.
+    The unpruned search is counted first (_search_nodes, an upper bound on
+    the nodes visited) and refused before it starts when it would visit more
+    than ENUMERATION_GUARD nodes.
     """
     if m < 1 or b < 1:
         raise ValueError("need m >= 1 and b >= 1")
@@ -271,13 +280,11 @@ def enumerate_types(m: int, b: int) -> list[PatternType]:
         for v in range(vmin, vmax + 1):
             topo = Topology(u, v, 1, b)
             chosen = []
+            row_counts = [0] * u
 
             def emit():
-                row_counts = [0] * u
-                for c in chosen:
-                    for i in col_types[c]:
-                        row_counts[i] += 1
-                if any(rc < b + 1 for rc in row_counts):
+                # one row order per row permutation class suffices
+                if any(x < y for x, y in zip(row_counts, row_counts[1:])):
                     return
                 pattern = ErasurePattern.of(
                     (i, j) for j, c in enumerate(chosen) for i in col_types[c])
@@ -288,6 +295,8 @@ def enumerate_types(m: int, b: int) -> list[PatternType]:
 
             def grow(start, weight):
                 remaining = v - len(chosen)
+                if min(row_counts) + remaining < b + 1:
+                    return
                 if remaining == 0:
                     emit()
                     return
@@ -298,8 +307,12 @@ def enumerate_types(m: int, b: int) -> list[PatternType]:
                     if weight + w + 2 * (remaining - 1) > total_cap:
                         continue
                     chosen.append(c)
+                    for i in col_types[c]:
+                        row_counts[i] += 1
                     grow(c, weight + w)
                     chosen.pop()
+                    for i in col_types[c]:
+                        row_counts[i] -= 1
 
             grow(0, 0)
     return sorted(found.values(), key=lambda pt: (pt.u, pt.v, pt.mask))

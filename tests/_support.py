@@ -7,7 +7,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 from mrgrid import ErasurePattern, GFMatrix, TensorCode, Topology, search_mr
 # the field-order sweeps of the tests are the ones the CLI search uses
 from mrgrid.galois import prime_powers_upto, spec_for_order
-from mrgrid.patterns import type_orbit_masks
+from mrgrid.patterns import canonical_type, is_regular, type_orbit_masks
 
 
 def _is_prime(n):
@@ -126,6 +126,55 @@ def instantiate_type(pt, m, n) -> list:
             for rows in combinations(range(m), pt.u)
             for cols in combinations(range(n), pt.v)
             for mask in type_orbit_masks(pt)]
+
+
+def brute_enumerate_types(m, b):
+    """enumerate_types' column search without pruning: every multiset of
+    column types within the weight cap, with no row-count bound while it
+    grows and every row order of each leaf taken, so it visits exactly the
+    patterns._search_nodes(u, b) nodes for each u."""
+    found = {}
+    for u in range(1, m + 1):
+        vmin, vmax = u + b, b * (u - 1)
+        col_types = [frozenset(s) for r in range(2, u + 1)
+                     for s in combinations(range(u), r)]
+        weights = [len(ct) for ct in col_types]
+        total_cap = 2 * b * (u - 1)
+        for v in range(vmin, vmax + 1):
+            topo = Topology(u, v, 1, b)
+            chosen = []
+
+            def emit():
+                row_counts = [0] * u
+                for c in chosen:
+                    for i in col_types[c]:
+                        row_counts[i] += 1
+                if any(rc < b + 1 for rc in row_counts):
+                    return
+                pattern = ErasurePattern.of(
+                    (i, j) for j, c in enumerate(chosen) for i in col_types[c])
+                if not is_regular(topo, pattern, mode="fast"):
+                    return
+                pt = canonical_type(pattern)
+                found.setdefault((pt.u, pt.v, pt.mask), pt)
+
+            def grow(start, weight):
+                remaining = v - len(chosen)
+                if remaining == 0:
+                    emit()
+                    return
+                if weight + 2 * remaining > total_cap:
+                    return
+                for c in range(start, len(col_types)):
+                    w = weights[c]
+                    if weight + w + 2 * (remaining - 1) > total_cap:
+                        continue
+                    chosen.append(c)
+                    grow(c, weight + w)
+                    chosen.pop()
+
+            grow(0, 0)
+    return sorted(found.values(), key=lambda pt: (pt.u, pt.v, pt.mask))
 
 
 def brute_orbit_masks(pt):

@@ -250,6 +250,47 @@ def test_attack_with_a_zero_column_coefficient_is_not_mds(tmp_path, capsys):
     assert "NotMds" in err
 
 
+def _set(path, value):
+    """A copy-and-edit of a code dict: path is a key list into it."""
+    def edit(d):
+        node = d
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return d
+    return edit
+
+
+@pytest.mark.parametrize("command", [["certify"], ["attack", "--topology", "t4"]])
+@pytest.mark.parametrize("edit", [
+    _set(["m"], "3"), _set(["m"], 4.0), _set(["h_row"], [1]),
+    _set(["h_row", "data"], 5), _set(["h_row", "data"], [5, 6]),
+    _set(["h_row", "field", "p"], "7"), _set(["h_col", "field", "k"], "1"),
+    _set(["h_col", "field"], 7), _set(["h_row", "field", "p"], 2 ** 127 - 1),
+], ids=["m-str", "m-float", "h_row-list", "data-int", "rows-int", "p-str", "k-str",
+        "field-int", "p-huge-prime"])
+def test_malformed_code_file_is_usage_error(tmp_path, capsys, command, edit):
+    code = edit(_geometric_code(4, 1).to_dict())
+    f = tmp_path / "code.json"
+    f.write_text(json.dumps(code))
+    status, out, err = invoke(capsys, command + ["--code", str(f)])
+    assert status == 2 and out == ""
+    assert err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("word", [{"entries": 5}, {"entries": [5, 6]},
+                                  {"entries": [[0] * 6] * 4, "erased": 5},
+                                  {"entries": [[0] * 6] * 4, "erased": [[None, 0]]},
+                                  {"entries": [[0] * 6] * 4, "erased": [[0, 0, 0]]}])
+def test_malformed_word_file_is_usage_error(tmp_path, capsys, word):
+    (tmp_path / "code.json").write_text(json.dumps(_geometric_code(4, 1).to_dict()))
+    (tmp_path / "word.json").write_text(json.dumps(word))
+    status, out, err = invoke(capsys, ["decode", "--code", str(tmp_path / "code.json"),
+                                       "--word", str(tmp_path / "word.json")])
+    assert status == 2 and out == ""
+    assert err.startswith("usage error: ")
+
+
 def test_decode_command(tmp_path, capsys):
     s = FieldSpec(13)
     code = simple_code(s, 3, 5, 2, [1, 2, 3, 4, 5])

@@ -259,7 +259,7 @@ def test_reduce_restricted_e0_block_shape():
     code = simple_code(s, 3, 6, 3, [1, 2, 3, 4, 5, 6])
     pattern = mask_pattern(E0_MASK)
     b_block = reduce_restricted(code, pattern)
-    assert (b_block.rows, b_block.cols) == (9, 6)
+    assert (b_block.rows, b_block.cols) == (6, 6)
 
 
 def test_reduce_restricted_matches_direct_rank():
@@ -294,6 +294,22 @@ def test_reduce_restricted_requires_irreducible():
     code = simple_code(s, 4, 6, 2, [1, 2, 3, 4, 5, 6])
     with pytest.raises(NotIrreducible):
         reduce_restricted(code, ErasurePattern.of([(0, 0)]))
+
+
+def test_reduce_restricted_requires_nonzero_column_coefficients():
+    # the block leaves the coefficients out, which is exact only when none is zero
+    s = FieldSpec(7)
+    h_row = GFMatrix(s, [[1] * 6, [1, 2, 3, 4, 5, 6]])
+    for alphas in ([1, 1, 1, 0], [0, 1, 1, 1]):
+        code = TensorCode(Topology(4, 6, 1, 2), GFMatrix(s, [alphas]), h_row)
+        with pytest.raises(ValueError, match="nonzero column-parity"):
+            reduce_restricted(code, mask_pattern(TYPE_II_MASK))
+    # rows the pattern leaves out may carry a zero
+    code = TensorCode(Topology(5, 6, 1, 2), GFMatrix(s, [[2, 1, 3, 1, 0]]), h_row)
+    e = mask_pattern(TYPE_II_MASK)
+    direct = rank(build_pseudo_parity(code).restrict_columns(
+        [i * 6 + j for i, j in sorted(e.cells)]))
+    assert direct == 6 + rank(reduce_restricted(code, e))
 
 
 def test_codeword_rows_and_columns_in_component_codes():

@@ -11,7 +11,7 @@ from mrgrid import (ErasurePattern, FieldSpec, GFMatrix,
                     is_correctable_by, is_irreducible, is_regular, primitive_element,
                     rank, reduce_restricted, search_mr)
 from mrgrid.bounds import q_below_t3_threshold, q_below_t4_threshold
-from mrgrid.codes import block_rows, block_template
+from mrgrid.codes import block_rows, block_template, negated_columns
 from mrgrid.errors import NotMds, ResourceGuard
 from mrgrid.gfmatrix import _echelon
 from mrgrid import mr
@@ -391,19 +391,20 @@ def _kernel_classes(code):
     """(pattern, kernel verdict) for every class certify_mr checks, in its order.
 
     The kernel verdict is full row rank of the reduced block's rows, built
-    from the class's template as certify_mr builds them.
+    from the class's template as certify_mr builds them: from the mask and
+    the row-code columns alone, with no column-parity coefficient.
     """
     t, spec = code.topology, code.spec
-    h_cols = list(zip(*code.h_row.data))
+    h_cols, neg_cols = negated_columns(code)
     for pt in enumerate_types(t.m, t.b):
         if pt.v > t.n:
             continue
-        height = pt.u * t.b
-        templates = [(mask, block_template(spec, code.h_col.row(0)[:pt.u], t.b, mask))
-                     for mask in row_class_masks(pt)]
+        height = (pt.u - 1) * t.b
+        templates = [(mask, block_template(t.b, mask)) for mask in row_class_masks(pt)]
         for cols in combinations(range(t.n), pt.v):
             for mask, template in templates:
-                block_t = block_rows(spec, template, [h_cols[j] for j in cols], height)
+                block_t = block_rows(template, [h_cols[j] for j in cols],
+                                     [neg_cols[j] for j in cols], height)
                 full = len(_echelon(block_t, spec, height, reduced=False)) == len(template)
                 yield mask_pattern(mask, cols), full
 
@@ -421,6 +422,8 @@ def _direct_report(code, embeddings):
 @pytest.mark.parametrize("m,b,n,orders", [(4, 2, 7, (7, 8)), (3, 3, 7, (7, 8)),
                                           (4, 3, 7, (7, 8)), (3, 4, 8, (8, 11))])
 def test_kernel_verdict_matches_the_direct_rank_on_every_class(m, b, n, orders):
+    # the direct rank sees the random column-parity coefficients, the kernel
+    # verdict does not
     rng = random.Random(m * 100 + b * 10 + n)
     verdicts = set()
     for q in orders:
@@ -465,46 +468,44 @@ def test_literal_sweep_matches_the_direct_rank_on_unused_grid_rows():
 # pair determinants
 # ----------------------------------------------------------------------
 
-def _symbolic_minor(mask, b):
-    """The 6x6 minor on the first six rows of mask's reduced block B, with
-    symbolic column-parity coefficients a0.. and row-code entries h<k><j>, and
-    the pair determinant D when mask is paired.  Both come from the library's
-    own block_template, block_rows and _pair_determinant run on sympy
-    expressions."""
+def _symbolic_block_det(mask, b):
+    """The determinant of mask's square reduced block B, with symbolic
+    row-code entries h<k><j>, and the pair determinant D when mask is paired.
+    Both come from the library's own block_template, block_rows and
+    _pair_determinant run on sympy expressions; the block has no
+    column-parity coefficient to carry."""
     sp = pytest.importorskip("sympy")
-    ring = SimpleNamespace(add=operator.add, sub=operator.sub, mul=operator.mul,
-                           neg=operator.neg, inv=lambda x: 1 / x,
-                           scale_row=lambda f, row: [f * x for x in row])
-    alphas = sp.symbols(f"a0:{len(mask)}")
+    ring = SimpleNamespace(add=operator.add, sub=operator.sub, mul=operator.mul)
     h_cols = [tuple(sp.Symbol(f"h{k}{j}") for k in range(b)) for j in range(6)]
-    template = block_template(ring, alphas, b, mask)
-    block = sp.Matrix(block_rows(ring, template, h_cols, len(mask) * b))
-    assert block.shape == (6, len(mask) * b)
-    minor = block[:, :6].det(method="berkowitz")
+    neg_cols = [tuple(-x for x in col) for col in h_cols]
+    template = block_template(b, mask)
+    block = sp.Matrix(block_rows(template, h_cols, neg_cols, (len(mask) - 1) * b))
+    assert block.shape == (6, 6)
+    det = block.det(method="berkowitz")
     pairing = _mask_pairing(mask)
     d = _pair_determinant(ring, pairing, h_cols) if pairing else None
-    return sp, minor, d, alphas, h_cols
+    return sp, det, d, h_cols
 
 
 def test_type2_minor_is_the_involution_determinant():
-    sp, minor, d, (a0, a1, a2, a3), _ = _symbolic_minor(TYPE_II_MASK, 2)
-    assert sp.cancel(minor + d * a3 ** 3 / (a0 ** 2 * a1)) == 0
+    sp, det, d, _ = _symbolic_block_det(TYPE_II_MASK, 2)
+    assert sp.expand(det + d) == 0
     assert sp.expand(d) != 0
 
 
 def test_e0_minor_is_the_concurrency_determinant():
-    sp, minor, d, (a0, a1, a2), _ = _symbolic_minor(E0_MASK, 3)
-    assert sp.cancel(minor + d * a2 ** 4 / (a0 ** 3 * a1)) == 0
+    sp, det, d, _ = _symbolic_block_det(E0_MASK, 3)
+    assert sp.expand(det + d) == 0
     assert sp.expand(d) != 0
 
 
 def test_type1_minor_factors_into_three_2x2_minors():
     # every Type I class is correctable once h_row is MDS; certify_mr does
     # not use this yet
-    sp, minor, d, (a0, a1, a2, a3), h = _symbolic_minor(TYPE_I_MASK, 2)
+    sp, det, d, h = _symbolic_block_det(TYPE_I_MASK, 2)
     assert d is None
     pair_minors = [h[j][0] * h[k][1] - h[j][1] * h[k][0] for j, k in ((0, 1), (2, 3), (4, 5))]
-    assert sp.cancel(minor - sp.Mul(*pair_minors) * a3 ** 3 / (a0 ** 2 * a2)) == 0
+    assert sp.expand(det - sp.Mul(*pair_minors)) == 0
 
 
 def test_mask_pairing_on_every_mask_of_both_paired_types():

@@ -10,7 +10,8 @@ from mrgrid.bounds import comb_le
 from mrgrid.errors import EmptyPattern, ResourceGuard
 from mrgrid.mr import E0_MASK, TYPE_I_MASK, TYPE_II_MASK
 from mrgrid.patterns import row_class_masks, type_orbit_masks
-from _support import brute_orbit_masks, instantiate_type, mask_pattern
+from _support import (brute_enumerate_types, brute_orbit_masks, instantiate_type,
+                      mask_pattern)
 
 
 E1 = mask_pattern(TYPE_I_MASK)
@@ -115,6 +116,13 @@ def test_enumerate_types_against_exhaustive_oracle():
         assert got == expected, (m, b)
 
 
+@pytest.mark.parametrize("m,b", [(4, 2), (3, 3), (4, 3), (3, 4), (5, 2), (2, 2),
+                                 (3, 1), (4, 1), (5, 1)])
+def test_pruned_type_search_matches_the_unpruned_search(m, b):
+    # the row-count bound and the non-increasing row-count leaves keep every type
+    assert enumerate_types(m, b) == brute_enumerate_types(m, b)
+
+
 def test_enumerated_type_invariants():
     # every type is irreducible and regular, so every embedding certify_mr
     # places is too: row and column counts of a mask do not change when its
@@ -141,8 +149,8 @@ def test_enumerate_types_resource_guard(monkeypatch):
 
 
 def _grow_calls(u, b):
-    """Calls of enumerate_types' column search for u-row types, by running
-    the same recursion without emitting types."""
+    """Calls of the unpruned column search (brute_enumerate_types) for u-row
+    types, by running the same recursion without emitting types."""
     vmin, vmax = u + b, b * (u - 1)
     weights = [r for r in range(2, u + 1) for _ in combinations(range(u), r)]
     cap = 2 * b * (u - 1)
@@ -166,15 +174,17 @@ def test_search_node_count_matches_the_recursion(u, b):
 
 
 def test_enumerate_types_guard_fails_fast(monkeypatch):
-    # the search for (5, 2) visits 924 + 348491 nodes; a guard one below that
-    # refuses it before searching, with the count and the guard in the message
+    # the unpruned search for (5, 2) visits 924 + 348491 nodes, which bounds
+    # the pruned one; a guard one below that refuses it before searching, with
+    # the count and the guard in the message
     assert patterns._search_nodes(4, 2) + patterns._search_nodes(5, 2) == 349415
     guard = patterns.ENUMERATION_GUARD
     monkeypatch.setattr(patterns, "is_regular", None)  # a search that starts fails
     monkeypatch.setattr(patterns, "ENUMERATION_GUARD", 349414)
     with pytest.raises(ResourceGuard, match="at least 349415 search nodes .* guard 349414"):
         enumerate_types(5, 2)
-    # (6, 2) would visit 213,287,811 nodes under the default guard
+    # the unpruned search of (6, 2) would visit 213,287,811 nodes, over the
+    # default guard
     monkeypatch.setattr(patterns, "ENUMERATION_GUARD", guard)
     with pytest.raises(ResourceGuard, match="at least 213287811 search nodes"):
         enumerate_types(6, 2)
