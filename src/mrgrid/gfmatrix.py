@@ -85,9 +85,49 @@ def list_of_rows(data, what: str) -> list:
     return data
 
 
+def rank_step(spec: FieldSpec):
+    """The rank-only elimination step over spec, as (pivot_key, clear).
+
+    clear(row, f, prow, key) clears the entry f = row[c] != 0 against a pivot
+    row prow with prow[c] != 0 and key = pivot_key(prow[c]); the result spans
+    the same space as row together with prow.  No pivot row is normalised:
+    over a prime field the step is fraction-free, row <- a*row - f*prow for
+    the pivot a; over GF(2^k) key is the pivot's log-inverse and
+    row <- row - (f/a)*prow costs one table lookup per entry.
+    """
+    if spec.k > 1:
+        exp, log, n = spec._exp, spec._log, spec.order - 1
+
+        def pivot_key(a):
+            return n - log[a]
+
+        def clear(row, f, prow, key):
+            lf = log[f] + key
+            if lf >= n:
+                lf -= n
+            return [x ^ exp[lf + log[y]] if y else x for x, y in zip(row, prow)]
+    else:
+        p = spec.p
+
+        def pivot_key(a):
+            return a
+
+        def clear(row, f, prow, a):
+            return [(a * x - f * y) % p for x, y in zip(row, prow)]
+    return pivot_key, clear
+
+
 def _echelon(rows: list[list[int]], spec: FieldSpec, pivot_cols: int, reduced: bool):
-    """In-place forward elimination; returns pivot column list."""
-    scale_row, sub_scaled_row = spec.scale_row, spec.sub_scaled_row
+    """In-place forward elimination; returns pivot column list.
+
+    reduced=True normalises every pivot to 1 and clears above it too (the
+    form solve_unique reads); reduced=False only clears below each pivot
+    with rank_step, for callers that count pivots.
+    """
+    if reduced:
+        scale_row, sub_scaled_row = spec.scale_row, spec.sub_scaled_row
+    else:
+        pivot_key, clear = rank_step(spec)
     nrows = len(rows)
     pivots = []
     r = 0
@@ -100,13 +140,20 @@ def _echelon(rows: list[list[int]], spec: FieldSpec, pivot_cols: int, reduced: b
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
         prow = rows[r]
-        piv_inv = spec.inv(prow[c])
-        if piv_inv != 1:
-            rows[r] = prow = scale_row(piv_inv, prow)
-        for i in range(nrows) if reduced else range(r + 1, nrows):
-            f = rows[i][c]
-            if f and i != r:
-                rows[i] = sub_scaled_row(rows[i], f, prow)
+        if reduced:
+            piv_inv = spec.inv(prow[c])
+            if piv_inv != 1:
+                rows[r] = prow = scale_row(piv_inv, prow)
+            for i in range(nrows):
+                f = rows[i][c]
+                if f and i != r:
+                    rows[i] = sub_scaled_row(rows[i], f, prow)
+        else:
+            key = pivot_key(prow[c])
+            for i in range(r + 1, nrows):
+                f = rows[i][c]
+                if f:
+                    rows[i] = clear(rows[i], f, prow, key)
         pivots.append(c)
         r += 1
         if r == nrows:

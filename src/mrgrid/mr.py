@@ -27,7 +27,7 @@ from .codes import (TensorCode, block_rows, block_template, build_pseudo_parity,
                     is_correctable_by, negated_columns, pseudo_parity_columns)
 from .errors import NotMds, ResourceGuard
 from .galois import FieldSpec, discrete_log, primitive_element
-from .gfmatrix import GFMatrix, _echelon, every_w_columns_independent, rank
+from .gfmatrix import GFMatrix, _echelon, every_w_columns_independent, rank, rank_step
 from .patterns import (ErasurePattern, Topology, enumerate_types, row_class_masks,
                        type_orbit_masks)
 
@@ -368,6 +368,63 @@ def _pair_determinant(spec: FieldSpec, pairing, h_cols) -> int:
 # certification
 # ----------------------------------------------------------------------
 
+def _sorted_walk(templates) -> tuple[list, list]:
+    """(entries, walk): the templates' distinct entries, and each template as
+    (lcp, suffix) in sorted order.
+
+    Each template's entries are sorted column-major, with the left-out last
+    row block (None) first, and the templates are sorted as tuples of
+    entries; suffix lists a template's entries (as indices into entries)
+    past the prefix of length lcp that it shares with the previous one.
+    """
+    def key(entry):
+        j, off, off0 = entry
+        return j, -1 if off is None else off, off0
+
+    entries = sorted({entry for template in templates for entry in template}, key=key)
+    index = {entry: k for k, entry in enumerate(entries)}
+    walk = []
+    prev = ()
+    for ids in sorted(tuple(sorted(index[e] for e in template)) for template in templates):
+        lcp = 0
+        for a, b in zip(prev, ids):
+            if a != b:
+                break
+            lcp += 1
+        walk.append((lcp, ids[lcp:]))
+        prev = ids
+    return entries, walk
+
+
+def _walk(walk, entry_rows, pivot_key, clear):
+    """None if every template of walk has independent rows, else (k, depth):
+    the k-th template's row at depth (the number of rows before it) reduced
+    to zero.
+
+    One echelon basis serves the walk: each template truncates it to the
+    prefix it shares with the previous template and inserts its own rows,
+    cleared with gfmatrix.rank_step.  Basis rows keep their insertion order;
+    each has zeros at the pivots of the rows before it, so one pass in that
+    order clears a new row.
+    """
+    basis = []
+    for k, (lcp, suffix) in enumerate(walk):
+        del basis[lcp:]
+        for e in suffix:
+            row = entry_rows[e]
+            for c, prow, key in basis:
+                f = row[c]
+                if f:
+                    row = clear(row, f, prow, key)
+            for c, x in enumerate(row):
+                if x:
+                    basis.append((c, row, pivot_key(x)))
+                    break
+            else:
+                return k, len(basis)
+    return None
+
+
 def certify_mr(code: TensorCode,
                instantiation_cap: int = DEFAULT_INSTANTIATION_CAP,
                dedupe_rows: bool = True) -> CertReport:
@@ -386,22 +443,30 @@ def certify_mr(code: TensorCode,
     made every column-parity coefficient nonzero, so they drop out of that
     rank and B's layout depends on the mask alone: each non-pivot cell puts
     h_j at its row block and -h_j at its pivot's, and the last row block
-    (minus the sum of the others) is left out.  Every type is
-    irreducible, so the sweep skips that test; it compiles each mask once
-    into a block_template, negates each row-code column once, and for each
-    grid-row choice and column subset fills the rows of B transposed
-    (block_rows) and runs one elimination.  The first rank-deficient
-    instantiation is reported with the rank of the pseudo-parity matrix
-    restricted to it.
+    (minus the sum of the others) is left out.  Every type is irreducible,
+    so the sweep skips that test; it compiles each mask once into a
+    block_template, negates each row-code column once, and for each grid-row
+    choice and column subset fills the rows of B transposed (block_rows).
 
-    Type II masks (b = 2) and E0 masks (b = 3) are paired once per mask
-    (_mask_pairing), and each of their classes first evaluates one 3x3 pair
-    determinant D on its six row-code columns.  B is then 6x6, of the same
-    rank as the block of TYPE_II_MASK or E0_MASK on permuted columns, whose
-    determinant is -D; so D != 0 proves the class correctable and it skips
-    the elimination.  A class with D = 0 is eliminated as any other, which
-    keeps the verdict, counterexample and patterns_checked of the plain
-    sweep.
+    Row order does not change a rank, so the masks of one type are checked
+    together on each column subset.  _sorted_walk sorts each template's
+    entries column-major (the left-out last row block first), sorts the
+    templates, and keeps for each the length (lcp) of the prefix it shares
+    with the previous one.  _walk then runs one echelon basis through the
+    sorted templates: it truncates the basis to the template's lcp and
+    inserts the template's other rows with gfmatrix.rank_step, which
+    normalises no pivot.  Type II masks (b = 2) and E0 masks (b = 3) are
+    paired once per mask (_mask_pairing) and take one 3x3 pair determinant
+    D on their six row-code columns instead: B is then 6x6, of the same rank
+    as the block of TYPE_II_MASK or E0_MASK on permuted columns, whose
+    determinant is -D, so D != 0 proves the class correctable.
+
+    A column subset on which a walked row reduces to zero or some D is 0 is
+    replayed mask by mask in mask order, with the same D test and one plain
+    elimination per mask, so the verdict, the first rank-deficient
+    instantiation and patterns_checked are those of the plain sweep.  The
+    counterexample is reported with the rank of the pseudo-parity matrix
+    restricted to it.
     """
     t = code.topology
     if t.a != 1:
@@ -422,26 +487,36 @@ def certify_mr(code: TensorCode,
         else:
             row_choices = list(combinations(range(t.m), pt.u))
             masks = type_orbit_masks(pt)
-        plans.append((pt, row_choices, [(mask, _mask_pairing(mask)) for mask in masks]))
+        plans.append((pt, row_choices, masks))
         total += len(row_choices) * comb(t.n, pt.v) * len(masks)
     if total > instantiation_cap:
         unit = "classes" if dedupe_rows else "instantiations"
         raise ResourceGuard(f"{total} pattern {unit} exceed cap {instantiation_cap}")
 
     spec = code.spec
+    pivot_key, clear = rank_step(spec)
     h_cols, neg_cols = negated_columns(code)
     checked = 0
     for pt, row_choices, masks in plans:
         height = (pt.u - 1) * t.b
-        templates = [(mask, pairing, block_template(t.b, mask)) for mask, pairing in masks]
+        pairings = [_mask_pairing(mask) for mask in masks]
+        paired = [p for p in pairings if p]
+        entries, walk = _sorted_walk([block_template(t.b, mask)
+                                      for mask, p in zip(masks, pairings) if not p])
         for rows in row_choices:
             for cols in combinations(range(t.n), pt.v):
                 col_h = [h_cols[j] for j in cols]
                 col_neg = [neg_cols[j] for j in cols]
-                for mask, pairing, template in templates:
+                if (all(_pair_determinant(spec, p, col_h) for p in paired)
+                        and _walk(walk, block_rows(entries, col_h, col_neg, height),
+                                  pivot_key, clear) is None):
+                    checked += len(masks)
+                    continue
+                for mask, pairing in zip(masks, pairings):
                     checked += 1
                     if pairing and _pair_determinant(spec, pairing, col_h):
                         continue
+                    template = block_template(t.b, mask)
                     block_t = block_rows(template, col_h, col_neg, height)
                     if len(_echelon(block_t, spec, height, reduced=False)) < len(template):
                         e = ErasurePattern.of((rows[i], cols[j]) for i in range(pt.u)

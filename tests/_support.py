@@ -193,7 +193,13 @@ def brute_orbit_masks(pt):
 # ----------------------------------------------------------------------
 
 def brute_echelon(rows, spec, pivot_cols, reduced):
-    """gfmatrix._echelon with entry-by-entry mul/sub: same pivoting, in place."""
+    """gfmatrix._echelon with entry-by-entry field ops: same pivoting, in place.
+
+    reduced=True normalises each pivot and clears its whole column;
+    reduced=False clears below each pivot without normalising it, by
+    row <- a*row - f*prow for the pivot a over a prime field and by
+    row <- row - (f/a)*prow over GF(2^k).
+    """
     mul, sub, inv = spec.mul, spec.sub, spec.inv
     nrows = len(rows)
     pivots = []
@@ -205,9 +211,11 @@ def brute_echelon(rows, spec, pivot_cols, reduced):
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
         prow = rows[r]
-        piv_inv = inv(prow[c])
-        if piv_inv != 1:
-            rows[r] = prow = [mul(piv_inv, x) for x in prow]
+        a = prow[c]
+        if reduced:
+            if a != 1:
+                rows[r] = prow = [mul(inv(a), x) for x in prow]
+            a = 1
         rng = range(nrows) if reduced else range(r + 1, nrows)
         for i in rng:
             if i == r:
@@ -215,7 +223,11 @@ def brute_echelon(rows, spec, pivot_cols, reduced):
             f = rows[i][c]
             if f:
                 row_i = rows[i]
-                rows[i] = [sub(x, mul(f, y)) for x, y in zip(row_i, prow)]
+                if spec.k > 1 or reduced:
+                    g = mul(f, inv(a))
+                    rows[i] = [sub(x, mul(g, y)) for x, y in zip(row_i, prow)]
+                else:
+                    rows[i] = [sub(mul(a, x), mul(f, y)) for x, y in zip(row_i, prow)]
         pivots.append(c)
         r += 1
         if r == nrows:

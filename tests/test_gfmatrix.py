@@ -6,7 +6,7 @@ import pytest
 from mrgrid import (FieldSpec, GFMatrix, every_w_columns_independent, rank,
                     reduce_restricted, solve_unique)
 from mrgrid.errors import Inconsistent, RankDeficient, ResourceGuard
-from mrgrid.gfmatrix import _echelon
+from mrgrid.gfmatrix import _echelon, rank_step
 from mrgrid.mr import TYPE_II_MASK
 from _support import (brute_echelon, f_t4, leibniz_determinant, mask_pattern, simple_code,
                       spec_for_order)
@@ -189,6 +189,40 @@ def test_echelon_matches_entrywise_oracle(q):
         m = GFMatrix(spec, rows)
         oracle = [list(r) for r in rows]
         assert rank(m) == len(brute_echelon(oracle, spec, ncols, False))
+
+
+@pytest.mark.parametrize("q", ORACLE_ORDERS)
+def test_rank_only_echelon_matches_the_reduced_rank(q):
+    """The rank-only elimination finds the pivots of the normalised one on
+    matrices with zero rows and repeated rows, and rank_step's clear leaves
+    a zero at the pivot and the row space unchanged."""
+    spec = spec_for_order(q)
+    rng = random.Random(1000 + q)
+    pivot_key, clear = rank_step(spec)
+    for trial in range(96):
+        nrows, ncols = rng.randrange(1, 10), rng.randrange(1, 12)
+        make = _rank_deficient if trial % 2 else _full_random
+        rows = make(spec, rng, nrows, ncols)
+        for _ in range(rng.randrange(3)):
+            rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+        for _ in range(rng.randrange(3)):
+            rows.insert(rng.randrange(len(rows) + 1), list(rng.choice(rows)))
+        fast, slow = [list(r) for r in rows], [list(r) for r in rows]
+        assert (_echelon(fast, spec, ncols, reduced=False)
+                == _echelon(slow, spec, ncols, reduced=True))
+        prow = next((r for r in rows if any(r)), None)
+        if prow is None:
+            continue
+        c = next(j for j, x in enumerate(prow) if x)
+        for row in rows:
+            if row[c]:
+                cleared = clear(row, row[c], prow, pivot_key(prow[c]))
+                assert cleared[c] == 0
+                # same row space: the same reduced row echelon form
+                before, after = [list(prow), list(row)], [list(prow), cleared]
+                _echelon(before, spec, ncols, reduced=True)
+                _echelon(after, spec, ncols, reduced=True)
+                assert before == after
 
 
 @pytest.mark.parametrize("q", ORACLE_ORDERS)

@@ -1,5 +1,6 @@
 import operator
 import random
+from collections import Counter
 from itertools import combinations, product
 from types import SimpleNamespace
 
@@ -13,10 +14,11 @@ from mrgrid import (ErasurePattern, FieldSpec, GFMatrix,
 from mrgrid.bounds import q_below_t3_threshold, q_below_t4_threshold
 from mrgrid.codes import block_rows, block_template, negated_columns
 from mrgrid.errors import NotMds, ResourceGuard
-from mrgrid.gfmatrix import _echelon
+from mrgrid.gfmatrix import _echelon, rank_step
 from mrgrid import mr
 from mrgrid.mr import (E0_MASK, TYPE_I_MASK, TYPE_II_MASK, _cross_row, _disjoint_edges,
-                       _form_row, _greedy_values, _mask_pairing, _pair_determinant)
+                       _form_row, _greedy_values, _mask_pairing, _pair_determinant,
+                       _sorted_walk, _walk)
 from mrgrid.patterns import (canonical_type, enumerate_types, row_class_masks,
                              type_orbit_masks)
 from _support import (brute_greedy_values, f_t3, f_t4, first_certified, is_two_sidon,
@@ -567,18 +569,111 @@ def test_involution_free_code_takes_the_determinant_path_on_every_type2_class(mo
     # the code `search --m 4 --b 2 --n 8` reports: greedy values, q = 79
     code = search_mr(4, 2, 8, spec_for_order(79))
     assert code is not None
-    eliminations = []
+    eliminations, walked, determinants = [], [], []
 
-    def counted(rows, spec, pivot_cols, reduced):
+    def counted_echelon(rows, spec, pivot_cols, reduced):
         eliminations.append(len(rows))
         return _echelon(rows, spec, pivot_cols, reduced)
 
-    monkeypatch.setattr(mr, "_echelon", counted)
+    def counted_walk(walk, entry_rows, pivot_key, clear):
+        hit = _walk(walk, entry_rows, pivot_key, clear)
+        walked.append((len(walk), hit))
+        return hit
+
+    def counted_determinant(spec, pairing, h_cols):
+        d = _pair_determinant(spec, pairing, h_cols)
+        determinants.append(d)
+        return d
+
+    monkeypatch.setattr(mr, "_echelon", counted_echelon)
+    monkeypatch.setattr(mr, "_walk", counted_walk)
+    monkeypatch.setattr(mr, "_pair_determinant", counted_determinant)
     rep = certify_mr(code)
     assert (rep.verdict, rep.patterns_checked) == ("certified", 2100)
     # C(8, 6) column subsets times 45 Type I and 30 Type II row classes:
-    # only the Type I classes run an elimination
-    assert len(eliminations) == 28 * 45 == 2100 - 28 * 30
+    # every Type II class has D != 0 and none is eliminated; the walk covers
+    # exactly the Type I classes, one walk per column subset, with no replay
+    # (the Type II walks hold no template)
+    assert len(determinants) == 28 * 30 and all(determinants)
+    assert eliminations == []
+    assert [w for w in walked if w[0]] == [(45, None)] * 28
+    assert sum(n for n, _ in walked) == 28 * 45 == 2100 - 28 * 30
+
+
+def _walked_templates(walk):
+    """The sorted templates a walk encodes, each as its tuple of entry indices."""
+    out, prev = [], ()
+    for lcp, suffix in walk:
+        prev = prev[:lcp] + suffix
+        out.append(prev)
+    return out
+
+
+def _first_dependent_row(rows, spec, height):
+    """The index of the first row in the span of the rows before it, or None;
+    by normalised elimination of ever longer prefixes."""
+    for i in range(len(rows)):
+        prefix = [list(r) for r in rows[:i + 1]]
+        if len(_echelon(prefix, spec, height, reduced=True)) <= i:
+            return i
+    return None
+
+
+@pytest.mark.parametrize("m,b,n", [(4, 2, 8), (3, 3, 8), (4, 3, 8), (3, 4, 8), (5, 2, 7)])
+def test_sorted_walk_matches_per_mask_elimination(m, b, n):
+    # every type's row-class templates, paired or not, on every column subset
+    # of two row codes per field: uniform entries (zeros and repeats
+    # allowed), and the same with a zero column 0 and column 1 a multiple of
+    # column 2, whose rows come first in the sorted order.  The walk must
+    # stop at the first sorted template with dependent rows, at its first
+    # dependent row, and some of those rows lie in a prefix that the next
+    # template shares.
+    types = []
+    for pt in enumerate_types(m, b):
+        if pt.v > n:
+            continue
+        templates = [block_template(b, mask) for mask in row_class_masks(pt)]
+        entries, walk = _sorted_walk(templates)
+        ordered = _walked_templates(walk)
+        assert walk[0][0] == 0
+        assert (Counter(frozenset(entries[e] for e in ids) for ids in ordered)
+                == Counter(frozenset(template) for template in templates))
+        types.append((pt, (pt.u - 1) * b, templates, entries, walk, ordered))
+    rng = random.Random(1000 * m + 100 * b + n)
+    verdicts = set()
+    in_shared_prefix = templates_passed = 0
+    for q in (7, 8, 11, 13, 16):
+        spec = spec_for_order(q)
+        pivot_key, clear = rank_step(spec)
+        uniform = [tuple(rng.randrange(q) for _ in range(b)) for _ in range(n)]
+        planted = list(uniform)
+        planted[0] = (0,) * b
+        planted[1] = tuple(spec.mul(rng.randrange(1, q), x) for x in uniform[2])
+        for h_cols in (uniform, planted):
+            neg_cols = [tuple(map(spec.neg, col)) for col in h_cols]
+            for pt, height, templates, entries, walk, ordered in types:
+                for cols in combinations(range(n), pt.v):
+                    col_h = [h_cols[j] for j in cols]
+                    col_neg = [neg_cols[j] for j in cols]
+                    entry_rows = block_rows(entries, col_h, col_neg, height)
+                    expected = None
+                    for k, ids in enumerate(ordered):
+                        depth = _first_dependent_row([entry_rows[e] for e in ids], spec, height)
+                        if depth is not None:
+                            expected = k, depth
+                            break
+                    plain = all(len(_echelon(block_rows(template, col_h, col_neg, height),
+                                             spec, height, reduced=False)) == len(template)
+                                for template in templates)
+                    hit = _walk(walk, entry_rows, pivot_key, clear)
+                    assert hit == expected and (hit is None) == plain, (q, pt, cols)
+                    verdicts.add(plain)
+                    templates_passed += len(walk) if hit is None else hit[0]
+                    if hit is not None:
+                        k, depth = hit
+                        in_shared_prefix += k + 1 < len(walk) and depth < walk[k + 1][0]
+    assert False in verdicts and templates_passed
+    assert in_shared_prefix
 
 
 # ----------------------------------------------------------------------
