@@ -7,8 +7,8 @@ pseudo-parity block (the paper's rank-condition polynomial f) vanishes.
 For the paired types (Type II and E0) that block is 6x6, and on the masks
 below its determinant is -D, for a 3x3 determinant D with one row per
 column pair: the pair's binary quadratic form for Type II, the line through
-its two points for E0.  certify_mr evaluates D first and eliminates only
-when D = 0.
+its two points for E0.  certify_mr takes D for those masks and eliminates
+only the others.
 Every attack validates its witness before returning: the witness pattern must
 be rank-deficient in the code's own pseudo-parity matrix, the same matrix and
 rank computation behind every rank the package reports.
@@ -21,13 +21,16 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-# build_pseudo_parity and is_correctable_by are not called here;
-# perfbench/tracing.py wraps them at mrgrid.mr
+# perfbench/tracing.py (SPAN_POINTS) wraps build_pseudo_parity,
+# is_correctable_by, rank, every_w_columns_independent, enumerate_types,
+# type_orbit_masks, discrete_log and primitive_element at mrgrid.mr, so all of
+# them stay imported here; build_pseudo_parity and is_correctable_by are
+# imported only for that and are not called in this module.
 from .codes import (TensorCode, block_rows, block_template, build_pseudo_parity,
                     is_correctable_by, negated_columns, pseudo_parity_columns)
 from .errors import NotMds, ResourceGuard
 from .galois import FieldSpec, discrete_log, primitive_element
-from .gfmatrix import GFMatrix, _echelon, every_w_columns_independent, rank, rank_step
+from .gfmatrix import GFMatrix, every_w_columns_independent, rank, rank_step
 from .patterns import (ErasurePattern, Topology, enumerate_types, row_class_masks,
                        type_orbit_masks)
 
@@ -368,48 +371,57 @@ def _pair_determinant(spec: FieldSpec, pairing, h_cols) -> int:
 # certification
 # ----------------------------------------------------------------------
 
-def _sorted_walk(templates) -> tuple[list, list]:
-    """(entries, walk): the templates' distinct entries, and each template as
-    (lcp, suffix) in sorted order.
+def _sorted_walk(templates: dict) -> tuple[list, list]:
+    """(entries, walk): the distinct entries of the templates (a dict from
+    mask index to template), and each template as (k, lcp, suffix) in sorted
+    order.
 
     Each template's entries are sorted column-major, with the left-out last
     row block (None) first, and the templates are sorted as tuples of
-    entries; suffix lists a template's entries (as indices into entries)
-    past the prefix of length lcp that it shares with the previous one.
+    entries; k is the template's mask index, and suffix lists its entries
+    (as indices into entries) past the prefix of length lcp that it shares
+    with the previous one.
     """
     def key(entry):
         j, off, off0 = entry
         return j, -1 if off is None else off, off0
 
-    entries = sorted({entry for template in templates for entry in template}, key=key)
-    index = {entry: k for k, entry in enumerate(entries)}
+    entries = sorted({entry for template in templates.values() for entry in template},
+                     key=key)
+    index = {entry: i for i, entry in enumerate(entries)}
     walk = []
     prev = ()
-    for ids in sorted(tuple(sorted(index[e] for e in template)) for template in templates):
+    for ids, k in sorted((tuple(sorted(index[e] for e in template)), k)
+                         for k, template in templates.items()):
         lcp = 0
         for a, b in zip(prev, ids):
             if a != b:
                 break
             lcp += 1
-        walk.append((lcp, ids[lcp:]))
+        walk.append((k, lcp, ids[lcp:]))
         prev = ids
     return entries, walk
 
 
-def _walk(walk, entry_rows, pivot_key, clear):
-    """None if every template of walk has independent rows, else (k, depth):
-    the k-th template's row at depth (the number of rows before it) reduced
-    to zero.
+def _walk(walk, entry_rows, pivot_key, clear, first: int) -> int:
+    """The least mask index k below first whose template in walk has
+    dependent rows, else first.
 
     One echelon basis serves the walk: each template truncates it to the
     prefix it shares with the previous template and inserts its own rows,
     cleared with gfmatrix.rank_step.  Basis rows keep their insertion order;
     each has zeros at the pivots of the rows before it, so one pass in that
-    order clears a new row.
+    order clears a new row.  A row that reduces to zero ends its template
+    and leaves None at its depth d in the basis; every later template whose
+    lcp exceeds d keeps that None, shares the dependent row and fails with
+    no elimination, and the first template with a shorter lcp drops it.
     """
     basis = []
-    for k, (lcp, suffix) in enumerate(walk):
+    for k, lcp, suffix in walk:
         del basis[lcp:]
+        if basis and basis[-1] is None:
+            first = min(first, k)
+            continue
         for e in suffix:
             row = entry_rows[e]
             for c, prow, key in basis:
@@ -421,8 +433,10 @@ def _walk(walk, entry_rows, pivot_key, clear):
                     basis.append((c, row, pivot_key(x)))
                     break
             else:
-                return k, len(basis)
-    return None
+                basis.append(None)
+                first = min(first, k)
+                break
+    return first
 
 
 def certify_mr(code: TensorCode,
@@ -449,24 +463,21 @@ def certify_mr(code: TensorCode,
     choice and column subset fills the rows of B transposed (block_rows).
 
     Row order does not change a rank, so the masks of one type are checked
-    together on each column subset.  _sorted_walk sorts each template's
-    entries column-major (the left-out last row block first), sorts the
-    templates, and keeps for each the length (lcp) of the prefix it shares
-    with the previous one.  _walk then runs one echelon basis through the
-    sorted templates: it truncates the basis to the template's lcp and
-    inserts the template's other rows with gfmatrix.rank_step, which
-    normalises no pivot.  Type II masks (b = 2) and E0 masks (b = 3) are
-    paired once per mask (_mask_pairing) and take one 3x3 pair determinant
-    D on their six row-code columns instead: B is then 6x6, of the same rank
-    as the block of TYPE_II_MASK or E0_MASK on permuted columns, whose
-    determinant is -D, so D != 0 proves the class correctable.
-
-    A column subset on which a walked row reduces to zero or some D is 0 is
-    replayed mask by mask in mask order, with the same D test and one plain
-    elimination per mask, so the verdict, the first rank-deficient
-    instantiation and patterns_checked are those of the plain sweep.  The
-    counterexample is reported with the rank of the pseudo-parity matrix
-    restricted to it.
+    together on each column subset, in one pass.  Type II masks (b = 2) and
+    E0 masks (b = 3) are paired once per mask (_mask_pairing) and take one
+    3x3 pair determinant D on their six row-code columns: B is then 6x6, of
+    the same rank as the block of TYPE_II_MASK or E0_MASK on permuted
+    columns, whose determinant is -D, so the class is correctable iff
+    D != 0.  The least mask index with D = 0 (or the number of masks) seeds
+    _walk over the other masks' templates: _sorted_walk sorts each
+    template's entries column-major (the left-out last row block first),
+    sorts the templates, and keeps for each its mask index and the length
+    (lcp) of the prefix it shares with the previous one; _walk runs one
+    echelon basis through them with gfmatrix.rank_step, which normalises no
+    pivot, and returns the least mask index that fails.  So the verdict, the
+    first rank-deficient instantiation in mask order and patterns_checked
+    are those of a mask-by-mask sweep.  The counterexample is reported with
+    the rank of the pseudo-parity matrix restricted to it.
     """
     t = code.topology
     if t.a != 1:
@@ -500,29 +511,26 @@ def certify_mr(code: TensorCode,
     for pt, row_choices, masks in plans:
         height = (pt.u - 1) * t.b
         pairings = [_mask_pairing(mask) for mask in masks]
-        paired = [p for p in pairings if p]
-        entries, walk = _sorted_walk([block_template(t.b, mask)
-                                      for mask, p in zip(masks, pairings) if not p])
+        paired = [(k, p) for k, p in enumerate(pairings) if p]
+        entries, walk = _sorted_walk({k: block_template(t.b, mask)
+                                      for k, (mask, p) in enumerate(zip(masks, pairings))
+                                      if not p})
         for rows in row_choices:
             for cols in combinations(range(t.n), pt.v):
                 col_h = [h_cols[j] for j in cols]
                 col_neg = [neg_cols[j] for j in cols]
-                if (all(_pair_determinant(spec, p, col_h) for p in paired)
-                        and _walk(walk, block_rows(entries, col_h, col_neg, height),
-                                  pivot_key, clear) is None):
+                first = next((k for k, p in paired if not _pair_determinant(spec, p, col_h)),
+                             len(masks))
+                first = _walk(walk, block_rows(entries, col_h, col_neg, height),
+                              pivot_key, clear, first)
+                if first == len(masks):
                     checked += len(masks)
                     continue
-                for mask, pairing in zip(masks, pairings):
-                    checked += 1
-                    if pairing and _pair_determinant(spec, pairing, col_h):
-                        continue
-                    template = block_template(t.b, mask)
-                    block_t = block_rows(template, col_h, col_neg, height)
-                    if len(_echelon(block_t, spec, height, reduced=False)) < len(template):
-                        e = ErasurePattern.of((rows[i], cols[j]) for i in range(pt.u)
-                                              for j in range(pt.v) if mask[i][j])
-                        return CertReport("failed_pattern", e,
-                                          _restricted_rank(code, e), checked)
+                mask = masks[first]
+                e = ErasurePattern.of((rows[i], cols[j]) for i in range(pt.u)
+                                      for j in range(pt.v) if mask[i][j])
+                return CertReport("failed_pattern", e, _restricted_rank(code, e),
+                                  checked + first + 1)
     return CertReport("certified", None, None, checked)
 
 

@@ -1,6 +1,5 @@
 import operator
 import random
-from collections import Counter
 from itertools import combinations, product
 from types import SimpleNamespace
 
@@ -569,15 +568,15 @@ def test_involution_free_code_takes_the_determinant_path_on_every_type2_class(mo
     # the code `search --m 4 --b 2 --n 8` reports: greedy values, q = 79
     code = search_mr(4, 2, 8, spec_for_order(79))
     assert code is not None
-    eliminations, walked, determinants = [], [], []
+    compiled, walked, determinants = [], [], []
 
-    def counted_echelon(rows, spec, pivot_cols, reduced):
-        eliminations.append(len(rows))
-        return _echelon(rows, spec, pivot_cols, reduced)
+    def counted_template(b, mask):
+        compiled.append(mask)
+        return block_template(b, mask)
 
-    def counted_walk(walk, entry_rows, pivot_key, clear):
-        hit = _walk(walk, entry_rows, pivot_key, clear)
-        walked.append((len(walk), hit))
+    def counted_walk(walk, entry_rows, pivot_key, clear, first):
+        hit = _walk(walk, entry_rows, pivot_key, clear, first)
+        walked.append((len(walk), first, hit))
         return hit
 
     def counted_determinant(spec, pairing, h_cols):
@@ -585,28 +584,19 @@ def test_involution_free_code_takes_the_determinant_path_on_every_type2_class(mo
         determinants.append(d)
         return d
 
-    monkeypatch.setattr(mr, "_echelon", counted_echelon)
+    monkeypatch.setattr(mr, "block_template", counted_template)
     monkeypatch.setattr(mr, "_walk", counted_walk)
     monkeypatch.setattr(mr, "_pair_determinant", counted_determinant)
     rep = certify_mr(code)
     assert (rep.verdict, rep.patterns_checked) == ("certified", 2100)
     # C(8, 6) column subsets times 45 Type I and 30 Type II row classes:
-    # every Type II class has D != 0 and none is eliminated; the walk covers
-    # exactly the Type I classes, one walk per column subset, with no replay
-    # (the Type II walks hold no template)
+    # every Type II class has D != 0 and none is compiled into a template;
+    # the walk covers exactly the Type I classes, one walk per column subset,
+    # and finds no failure (the Type II walks hold no template)
     assert len(determinants) == 28 * 30 and all(determinants)
-    assert eliminations == []
-    assert [w for w in walked if w[0]] == [(45, None)] * 28
-    assert sum(n for n, _ in walked) == 28 * 45 == 2100 - 28 * 30
-
-
-def _walked_templates(walk):
-    """The sorted templates a walk encodes, each as its tuple of entry indices."""
-    out, prev = [], ()
-    for lcp, suffix in walk:
-        prev = prev[:lcp] + suffix
-        out.append(prev)
-    return out
+    assert len(compiled) == 45 and not any(map(_mask_pairing, compiled))
+    assert [w for w in walked if w[0]] == [(45, 45, 45)] * 28
+    assert sum(n for n, _, _ in walked) == 28 * 45 == 2100 - 28 * 30
 
 
 def _first_dependent_row(rows, spec, height):
@@ -625,23 +615,29 @@ def test_sorted_walk_matches_per_mask_elimination(m, b, n):
     # of two row codes per field: uniform entries (zeros and repeats
     # allowed), and the same with a zero column 0 and column 1 a multiple of
     # column 2, whose rows come first in the sorted order.  The walk must
-    # stop at the first sorted template with dependent rows, at its first
-    # dependent row, and some of those rows lie in a prefix that the next
-    # template shares.
+    # return the least mask index whose template fails a normalised
+    # elimination of its own, below any seeded bound; some subsets fail
+    # first in sorted order at a template that is not the first in mask
+    # order, and some failing rows lie in a prefix that the next sorted
+    # template shares, so the walk skips that template.
     types = []
     for pt in enumerate_types(m, b):
         if pt.v > n:
             continue
         templates = [block_template(b, mask) for mask in row_class_masks(pt)]
-        entries, walk = _sorted_walk(templates)
-        ordered = _walked_templates(walk)
-        assert walk[0][0] == 0
-        assert (Counter(frozenset(entries[e] for e in ids) for ids in ordered)
-                == Counter(frozenset(template) for template in templates))
-        types.append((pt, (pt.u - 1) * b, templates, entries, walk, ordered))
+        entries, walk = _sorted_walk(dict(enumerate(templates)))
+        assert walk[0][1] == 0
+        walked, prev = {}, ()
+        for k, lcp, suffix in walk:
+            prev = prev[:lcp] + suffix
+            walked[k] = prev
+        assert len(walked) == len(walk) == len(templates)
+        index = {e: i for i, e in enumerate(entries)}
+        assert walked == {k: tuple(sorted(index[e] for e in template))
+                          for k, template in enumerate(templates)}
+        types.append((pt, (pt.u - 1) * b, templates, entries, walk, walked))
     rng = random.Random(1000 * m + 100 * b + n)
-    verdicts = set()
-    in_shared_prefix = templates_passed = 0
+    failed = sorted_first_differs = shared_dead_prefix = 0
     for q in (7, 8, 11, 13, 16):
         spec = spec_for_order(q)
         pivot_key, clear = rank_step(spec)
@@ -651,29 +647,34 @@ def test_sorted_walk_matches_per_mask_elimination(m, b, n):
         planted[1] = tuple(spec.mul(rng.randrange(1, q), x) for x in uniform[2])
         for h_cols in (uniform, planted):
             neg_cols = [tuple(map(spec.neg, col)) for col in h_cols]
-            for pt, height, templates, entries, walk, ordered in types:
+            for pt, height, templates, entries, walk, walked in types:
                 for cols in combinations(range(n), pt.v):
                     col_h = [h_cols[j] for j in cols]
                     col_neg = [neg_cols[j] for j in cols]
+
+                    def fails(k):
+                        block_t = block_rows(templates[k], col_h, col_neg, height)
+                        return len(_echelon(block_t, spec, height, reduced=True)) < len(block_t)
+
+                    expected = next(filter(fails, range(len(templates))), len(templates))
                     entry_rows = block_rows(entries, col_h, col_neg, height)
-                    expected = None
-                    for k, ids in enumerate(ordered):
-                        depth = _first_dependent_row([entry_rows[e] for e in ids], spec, height)
-                        if depth is not None:
-                            expected = k, depth
-                            break
-                    plain = all(len(_echelon(block_rows(template, col_h, col_neg, height),
-                                             spec, height, reduced=False)) == len(template)
-                                for template in templates)
-                    hit = _walk(walk, entry_rows, pivot_key, clear)
-                    assert hit == expected and (hit is None) == plain, (q, pt, cols)
-                    verdicts.add(plain)
-                    templates_passed += len(walk) if hit is None else hit[0]
-                    if hit is not None:
-                        k, depth = hit
-                        in_shared_prefix += k + 1 < len(walk) and depth < walk[k + 1][0]
-    assert False in verdicts and templates_passed
-    assert in_shared_prefix
+                    assert _walk(walk, entry_rows, pivot_key, clear,
+                                 len(templates)) == expected, (q, pt, cols)
+                    # a seeded bound caps the answer (on one subset in eight:
+                    # every walk here runs through all of its templates)
+                    if rng.randrange(8) == 0:
+                        bound = rng.randrange(len(templates) + 1)
+                        assert _walk(walk, entry_rows, pivot_key, clear,
+                                     bound) == min(bound, expected), (q, pt, cols, bound)
+                    if expected == len(templates):
+                        continue
+                    failed += 1
+                    i, k = next((i, k) for i, (k, _, _) in enumerate(walk) if fails(k))
+                    sorted_first_differs += k != expected
+                    depth = _first_dependent_row([entry_rows[e] for e in walked[k]],
+                                                 spec, height)
+                    shared_dead_prefix += i + 1 < len(walk) and depth < walk[i + 1][1]
+    assert failed and sorted_first_differs and shared_dead_prefix
 
 
 # ----------------------------------------------------------------------
