@@ -6,11 +6,14 @@ pseudo-parity matrix stacks all column constraints (a rows per grid column)
 over a block diagonal of row-code parity matrices (b rows per grid row),
 giving (a*n + b*m) x (m*n) in total.
 
-For a = 1 and nonzero column coefficients, a pattern's rank test shrinks to
-the reduced block of reduce_restricted: (u-1)*b rows for a pattern on u grid
-rows, laid out from the pattern's mask alone (block_template) and filled
-with the row-code columns and their negations (block_rows).  It carries no
-column coefficient, so one layout per mask serves every code.
+A pattern E is correctable when the pseudo-parity matrix restricted to E's
+cells has full column rank; restricted_rank is the one place that rank is
+computed.  For a = 1 and nonzero column coefficients it equals
+|V_E| + rank(B) for the reduced block B of reduce_restricted: (u-1)*b rows
+for an irreducible pattern on u grid rows, laid out from the pattern's mask
+alone (block_template) and filled with the row-code columns and their
+negations (block_rows).  It carries no column coefficient, so one layout
+per mask serves certify_mr's sweep for every code.
 """
 
 from __future__ import annotations
@@ -131,37 +134,27 @@ def build_pseudo_parity(code: TensorCode) -> GFMatrix:
     return pseudo_parity_columns(code, range(t.m * t.n))
 
 
-def _pattern_columns(code: TensorCode, e: ErasurePattern) -> list[int]:
+def restricted_rank(code: TensorCode, e: ErasurePattern) -> int:
+    """The rank of the pseudo-parity matrix restricted to the cells of e.
+
+    Raises ValueError for a cell outside the grid: a cell such as (0, n)
+    would otherwise name the index of another cell.
+    """
     t = code.topology
     if not e.in_bounds(t.m, t.n):
         raise ValueError("pattern exceeds grid bounds")
-    return [i * t.n + j for i, j in sorted(e.cells)]
+    return rank(pseudo_parity_columns(code, [i * t.n + j for i, j in sorted(e.cells)]))
 
 
-def is_correctable_by(code: TensorCode, e: ErasurePattern, method: str = "auto") -> bool:
+def is_correctable_by(code: TensorCode, e: ErasurePattern, method: str = "direct") -> bool:
     """True iff the pseudo-parity matrix restricted to e has full column rank.
 
-    For a = 1 codes with an all-nonzero column parity and an irreducible
-    pattern, rank(H|_E) = |V_E| + rank(B) for the reduced block B, so the
-    predicate is evaluated on B; a pattern that reduce_restricted rejects as
-    not irreducible, or method="direct", takes plain elimination on H|_E.
-    method is "auto" or "direct".
+    method must be "direct" (plain elimination on H|_E, see restricted_rank);
+    any other value raises ValueError.
     """
-    if method not in ("auto", "direct"):
+    if method != "direct":
         raise ValueError(f"unknown method {method!r}")
-    if not e.cells:
-        return True
-    t = code.topology
-    if method == "auto" and t.a == 1 and all(code.h_col[0, i] for i in range(t.m)):
-        try:
-            b_block = reduce_restricted(code, e)
-        except NotIrreducible:
-            pass
-        else:
-            return rank(b_block) == len(e.cells) - len(e.cols_used)
-    h = build_pseudo_parity(code)
-    restricted = h.restrict_columns(_pattern_columns(code, e))
-    return rank(restricted) == len(e.cells)
+    return restricted_rank(code, e) == len(e.cells)
 
 
 def encode(code: TensorCode, message) -> GridWord:

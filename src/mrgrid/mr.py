@@ -10,8 +10,9 @@ column pair: the pair's binary quadratic form for Type II, the line through
 its two points for E0.  certify_mr takes D for those masks and eliminates
 only the others.
 Every attack validates its witness before returning: the witness pattern must
-be rank-deficient in the code's own pseudo-parity matrix, the same matrix and
-rank computation behind every rank the package reports.
+be rank-deficient in the code's own pseudo-parity matrix (codes.restricted_rank,
+the one rank computation behind is_correctable_by and every rank the package
+reports).
 """
 
 from __future__ import annotations
@@ -24,21 +25,17 @@ from math import comb
 # perfbench/tracing.py (SPAN_POINTS) wraps build_pseudo_parity,
 # is_correctable_by, rank, every_w_columns_independent, enumerate_types,
 # type_orbit_masks, discrete_log and primitive_element at mrgrid.mr, so all of
-# them stay imported here; build_pseudo_parity and is_correctable_by are
-# imported only for that and are not called in this module.
+# them stay imported here; build_pseudo_parity, is_correctable_by and rank
+# are imported only for that and are not called in this module.
 from .codes import (TensorCode, block_rows, block_template, build_pseudo_parity,
-                    is_correctable_by, negated_columns, pseudo_parity_columns)
+                    is_correctable_by, negated_columns, restricted_rank)
 from .errors import NotMds, ResourceGuard
 from .galois import FieldSpec, discrete_log, primitive_element
 from .gfmatrix import GFMatrix, every_w_columns_independent, rank, rank_step
 from .patterns import (ErasurePattern, Topology, enumerate_types, row_class_masks,
                        type_orbit_masks)
 
-# Pattern masks for the two special topologies (rows x six columns).
-TYPE_I_MASK = ((1, 1, 1, 0, 0, 0),
-               (1, 1, 0, 1, 0, 0),
-               (0, 0, 1, 0, 1, 1),
-               (0, 0, 0, 1, 1, 1))
+# Witness masks of the two attacks (rows x six columns).
 TYPE_II_MASK = ((1, 1, 1, 0, 0, 0),
                 (1, 0, 0, 1, 1, 0),
                 (0, 1, 0, 1, 0, 1),
@@ -133,11 +130,6 @@ def _masked_pattern(mask, columns) -> ErasurePattern:
                              for k in range(6) if mask[i][k])
 
 
-def _restricted_rank(code: TensorCode, pattern: ErasurePattern) -> int:
-    cols = [i * code.topology.n + j for i, j in sorted(pattern.cells)]
-    return rank(pseudo_parity_columns(code, cols))
-
-
 def _check_attack_shape(code: TensorCode, b: int, min_m: int):
     """Raise ValueError unless code is T_{m x n}(1, b, 0) with m >= min_m, and
     NotMds on a zero column-parity coefficient (the attacks assume an MDS
@@ -178,7 +170,7 @@ def attack_t4(code: TensorCode) -> AttackOutcome | None:
     columns = tuple(exp_to_col[t] for t in witness.exponents)
     witness = SidonWitness(witness.exponents, witness.pairing, witness.modulus, columns)
     pattern = _masked_pattern(TYPE_II_MASK, columns)
-    r = _restricted_rank(code, pattern)
+    r = restricted_rank(code, pattern)
     if r >= len(pattern.cells):
         raise AssertionError("pair-sum witness failed the rank validation")
     return AttackOutcome(pattern, r, witness=witness)
@@ -189,26 +181,15 @@ def _disjoint_edges(edges) -> list:
 
     Edges sharing a difference form disjoint paths and cycles (out- and
     in-degrees are at most one), where taking alternate edges is optimal.
+    Paths are walked from their heads first, so no path node is visited
+    ahead of its walk; every node left unvisited then lies on a cycle.
     """
     succ = dict(edges)
     targets = set(succ.values())
+    heads = sorted(i for i in succ if i not in targets)
     chosen = []
     visited = set()
-    heads = sorted(i for i in succ if i not in targets)
-    for h in heads:
-        cur = h
-        while cur in succ and cur not in visited:
-            nxt = succ[cur]
-            chosen.append((cur, nxt))
-            visited.update((cur, nxt))
-            cur = succ.get(nxt)
-            if cur is None or cur in visited:
-                break
-    for i in sorted(succ):
-        if i in visited:
-            continue
-        # remaining components are cycles
-        cur = i
+    for cur in heads + sorted(succ):
         while cur in succ and cur not in visited:
             nxt = succ[cur]
             if nxt in visited:
@@ -216,8 +197,6 @@ def _disjoint_edges(edges) -> list:
             chosen.append((cur, nxt))
             visited.update((cur, nxt))
             cur = succ.get(nxt)
-            if cur is None:
-                break
     return chosen
 
 
@@ -238,7 +217,7 @@ def attack_t3(code: TensorCode) -> AttackOutcome | None:
     if len(zero_first) >= 6:
         columns = tuple(zero_first[:6])
         pattern = _masked_pattern(E0_MASK, columns)
-        r = _restricted_rank(code, pattern)
+        r = restricted_rank(code, pattern)
         if r >= len(pattern.cells):
             raise AssertionError("zero-first-coordinate columns failed the rank validation")
         return AttackOutcome(pattern, r, detail={
@@ -261,7 +240,7 @@ def attack_t3(code: TensorCode) -> AttackOutcome | None:
     (i1, j1), (i2, j2), (i3, j3) = chosen
     columns = (i1, j1, i2, j2, i3, j3)
     pattern = _masked_pattern(E0_MASK, columns)
-    r = _restricted_rank(code, pattern)
+    r = restricted_rank(code, pattern)
     if r >= len(pattern.cells):
         raise AssertionError("difference collision failed the rank validation")
     return AttackOutcome(pattern, r, detail={
@@ -529,7 +508,7 @@ def certify_mr(code: TensorCode,
                 mask = masks[first]
                 e = ErasurePattern.of((rows[i], cols[j]) for i in range(pt.u)
                                       for j in range(pt.v) if mask[i][j])
-                return CertReport("failed_pattern", e, _restricted_rank(code, e),
+                return CertReport("failed_pattern", e, restricted_rank(code, e),
                                   checked + first + 1)
     return CertReport("certified", None, None, checked)
 

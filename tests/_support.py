@@ -64,6 +64,14 @@ def random_nonzero_row(spec, m, rng):
     return GFMatrix(spec, [[rng.randrange(1, spec.order) for _ in range(m)]])
 
 
+# The Type I mask of T_{4xn}(1,2,0) (rows x six columns); the Type II and E0
+# masks stay in mrgrid.mr, where the attacks build their witnesses from them.
+TYPE_I_MASK = ((1, 1, 1, 0, 0, 0),
+               (1, 1, 0, 1, 0, 0),
+               (0, 0, 1, 0, 1, 1),
+               (0, 0, 0, 1, 1, 1))
+
+
 def mask_pattern(mask, columns=None) -> ErasurePattern:
     cols = columns or tuple(range(len(mask[0])))
     return ErasurePattern.of((i, cols[j])

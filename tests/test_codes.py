@@ -5,12 +5,13 @@ import pytest
 
 from mrgrid import (ErasurePattern, FieldSpec, GFMatrix, GridWord, TensorCode,
                     Topology, build_pseudo_parity, decode, encode,
-                    is_correctable_by, is_regular, rank, reduce_restricted)
-from mrgrid.codes import pseudo_parity_columns
+                    is_correctable_by, is_irreducible, is_regular, rank,
+                    reduce_restricted)
+from mrgrid.codes import pseudo_parity_columns, restricted_rank
 from mrgrid.errors import (DimensionMismatch, InconsistentWord, NotIrreducible,
                            Uncorrectable)
-from mrgrid.mr import E0_MASK, TYPE_I_MASK, TYPE_II_MASK
-from _support import (mask_pattern, random_mds_rows, random_nonzero_row,
+from mrgrid.mr import E0_MASK, TYPE_II_MASK
+from _support import (TYPE_I_MASK, mask_pattern, random_mds_rows, random_nonzero_row,
                       simple_code, spec_for_order)
 
 
@@ -207,20 +208,40 @@ def test_is_correctable_examples():
 def test_is_correctable_by_rejects_unknown_method():
     code = simple_code(FieldSpec(11), 3, 5, 2, [1, 2, 3, 4, 5])
     one_col = ErasurePattern.of((i, 2) for i in range(3))
-    for method in ("Direct", "nonsense", "", None):
+    for method in ("auto", "Direct", "nonsense", "", None):
         with pytest.raises(ValueError, match="unknown method"):
             is_correctable_by(code, one_col, method=method)
 
 
-def test_is_correctable_methods_agree():
+def test_cells_outside_the_grid_are_rejected():
+    code = simple_code(FieldSpec(11), 3, 5, 2, [1, 2, 3, 4, 5])
+    # (0, 5) has the in-range index 5, which belongs to the cell (1, 0)
+    for cells in ([(0, 5)], [(3, 0)], [(0, 0), (2, 4), (0, 5)], [(7, 9)]):
+        e = ErasurePattern.of(cells)
+        with pytest.raises(ValueError, match="grid bounds"):
+            restricted_rank(code, e)
+        with pytest.raises(ValueError, match="grid bounds"):
+            is_correctable_by(code, e)
+
+
+def test_is_correctable_by_matches_the_whole_matrix_and_the_reduced_block():
     rng = random.Random(5)
     s = spec_for_order(16)
     code = simple_code(s, 4, 6, 2, [1, 2, 3, 5, 9, 11])
+    h = build_pseudo_parity(code)
+    irreducible = 0
     for _ in range(150):
         cells = {(rng.randrange(4), rng.randrange(6))
                  for _ in range(rng.randrange(0, 14))}
         e = ErasurePattern.of(cells)
-        assert is_correctable_by(code, e) == is_correctable_by(code, e, method="direct")
+        verdict = is_correctable_by(code, e)
+        whole = rank(h.restrict_columns([i * 6 + j for i, j in sorted(e.cells)]))
+        assert verdict == (whole == len(e.cells))
+        if e.cells and is_irreducible(code.topology, e):
+            irreducible += 1
+            reduced = len(e.cols_used) + rank(reduce_restricted(code, e))
+            assert verdict == (reduced == len(e.cells))
+    assert irreducible > 0
 
 
 def test_reduce_restricted_type1_rank_condition():
@@ -264,7 +285,6 @@ def test_reduce_restricted_e0_block_shape():
 
 def test_reduce_restricted_matches_direct_rank():
     rng = random.Random(8)
-    from mrgrid.patterns import is_irreducible
     checked = 0
     while checked < 150:
         m, n, b = rng.choice([(3, 6, 2), (4, 6, 2), (4, 7, 2), (3, 7, 3)])

@@ -15,13 +15,13 @@ from mrgrid.codes import block_rows, block_template, negated_columns
 from mrgrid.errors import NotMds, ResourceGuard
 from mrgrid.gfmatrix import _echelon, rank_step
 from mrgrid import mr
-from mrgrid.mr import (E0_MASK, TYPE_I_MASK, TYPE_II_MASK, _cross_row, _disjoint_edges,
-                       _form_row, _greedy_values, _mask_pairing, _pair_determinant,
+from mrgrid.mr import (E0_MASK, TYPE_II_MASK, _cross_row, _disjoint_edges, _form_row,
+                       _greedy_values, _mask_pairing, _pair_determinant,
                        _sorted_walk, _walk)
 from mrgrid.patterns import (canonical_type, enumerate_types, row_class_masks,
                              type_orbit_masks)
-from _support import (brute_greedy_values, f_t3, f_t4, first_certified, is_two_sidon,
-                      leibniz_determinant, mask_pattern, random_mds_rows,
+from _support import (TYPE_I_MASK, brute_greedy_values, f_t3, f_t4, first_certified,
+                      is_two_sidon, leibniz_determinant, mask_pattern, random_mds_rows,
                       random_nonzero_row, simple_code, spec_for_order,
                       zero_under_some_permutation)
 

@@ -8,10 +8,10 @@ from mrgrid import (ErasurePattern, PatternType, Topology, canonical_type,
                     enumerate_types, is_irreducible, is_regular, patterns)
 from mrgrid.bounds import comb_le
 from mrgrid.errors import EmptyPattern, ResourceGuard
-from mrgrid.mr import E0_MASK, TYPE_I_MASK, TYPE_II_MASK
+from mrgrid.mr import E0_MASK, TYPE_II_MASK
 from mrgrid.patterns import row_class_masks, type_orbit_masks
-from _support import (brute_enumerate_types, brute_orbit_masks, instantiate_type,
-                      mask_pattern)
+from _support import (TYPE_I_MASK, brute_enumerate_types, brute_orbit_masks,
+                      instantiate_type, mask_pattern)
 
 
 E1 = mask_pattern(TYPE_I_MASK)
