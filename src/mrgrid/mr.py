@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -418,6 +419,45 @@ def _walk(walk, entry_rows, pivot_key, clear, first: int) -> int:
     return first
 
 
+@lru_cache(maxsize=1)
+def _sweep_plan(m: int, b: int, n: int, dedupe_rows: bool, instantiation_cap: int) -> tuple:
+    """The code-independent part of certify_mr's sweep on T_{m x n}(1, b, 0).
+
+    One entry per type with at most n columns, in enumerate_types order:
+    (pt, row_choices, masks, paired, entries, walk).  row_choices are the
+    grid-row choices the masks are placed on, masks the type's row-class
+    masks (with dedupe_rows) or orbit masks, paired the (mask index,
+    _mask_pairing) of its Type II and E0 masks, and entries and walk the
+    _sorted_walk of the other masks' block_templates.  Raises ResourceGuard
+    before compiling any template when the instantiations exceed
+    instantiation_cap.  Every code of one shape shares the plan, so it is
+    cached; only the last plan is kept, and a ResourceGuard is not cached.
+    """
+    types = []
+    total = 0
+    for pt in enumerate_types(m, b, n):
+        if dedupe_rows:
+            row_choices = (range(pt.u),)
+            masks = row_class_masks(pt)
+        else:
+            row_choices = tuple(combinations(range(m), pt.u))
+            masks = type_orbit_masks(pt)
+        types.append((pt, row_choices, masks))
+        total += len(row_choices) * comb(n, pt.v) * len(masks)
+    if total > instantiation_cap:
+        unit = "classes" if dedupe_rows else "instantiations"
+        raise ResourceGuard(f"{total} pattern {unit} exceed cap {instantiation_cap}")
+    plan = []
+    for pt, row_choices, masks in types:
+        pairings = [_mask_pairing(mask) for mask in masks]
+        paired = tuple((k, p) for k, p in enumerate(pairings) if p)
+        entries, walk = _sorted_walk({k: block_template(b, mask)
+                                      for k, (mask, p) in enumerate(zip(masks, pairings))
+                                      if not p})
+        plan.append((pt, row_choices, tuple(masks), paired, tuple(entries), tuple(walk)))
+    return tuple(plan)
+
+
 def certify_mr(code: TensorCode,
                instantiation_cap: int = DEFAULT_INSTANTIATION_CAP,
                dedupe_rows: bool = True) -> CertReport:
@@ -440,6 +480,9 @@ def certify_mr(code: TensorCode,
     so the sweep skips that test; it compiles each mask once into a
     block_template, negates each row-code column once, and for each grid-row
     choice and column subset fills the rows of B transposed (block_rows).
+    The types that fit in n columns, their masks, pairings and templates
+    depend on the shape alone and come from _sweep_plan, built after the MDS
+    check and once per shape.
 
     Row order does not change a rank, so the masks of one type are checked
     together on each column subset, in one pass.  Type II masks (b = 2) and
@@ -465,35 +508,13 @@ def certify_mr(code: TensorCode,
         return CertReport("failed_mds", None, None, 0)
     if any(code.h_col[0, i] == 0 for i in range(t.m)):
         return CertReport("failed_mds", None, None, 0)
-    # per usable type: the grid rows it is placed on and the masks placed there
-    plans = []
-    total = 0
-    for pt in enumerate_types(t.m, t.b):
-        if pt.v > t.n:
-            continue
-        if dedupe_rows:
-            row_choices = [range(pt.u)]
-            masks = row_class_masks(pt)
-        else:
-            row_choices = list(combinations(range(t.m), pt.u))
-            masks = type_orbit_masks(pt)
-        plans.append((pt, row_choices, masks))
-        total += len(row_choices) * comb(t.n, pt.v) * len(masks)
-    if total > instantiation_cap:
-        unit = "classes" if dedupe_rows else "instantiations"
-        raise ResourceGuard(f"{total} pattern {unit} exceed cap {instantiation_cap}")
-
+    plan = _sweep_plan(t.m, t.b, t.n, dedupe_rows, instantiation_cap)
     spec = code.spec
     pivot_key, clear = rank_step(spec)
     h_cols, neg_cols = negated_columns(code)
     checked = 0
-    for pt, row_choices, masks in plans:
+    for pt, row_choices, masks, paired, entries, walk in plan:
         height = (pt.u - 1) * t.b
-        pairings = [_mask_pairing(mask) for mask in masks]
-        paired = [(k, p) for k, p in enumerate(pairings) if p]
-        entries, walk = _sorted_walk({k: block_template(t.b, mask)
-                                      for k, (mask, p) in enumerate(zip(masks, pairings))
-                                      if not p})
         for rows in row_choices:
             for cols in combinations(range(t.n), pt.v):
                 col_h = [h_cols[j] for j in cols]

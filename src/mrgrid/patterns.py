@@ -201,9 +201,10 @@ def canonical_type(e: ErasurePattern) -> PatternType:
     return PatternType(u, v, best)
 
 
-def _search_nodes(u: int, b: int) -> int:
-    """The calls of the unpruned column search for types with u rows, or a
-    lower bound on them above ENUMERATION_GUARD.
+def _search_nodes(u: int, b: int, max_v: int | None = None) -> int:
+    """The calls of the unpruned column search for types with u rows and at
+    most max_v columns (any number when None), or a lower bound on them
+    above ENUMERATION_GUARD.
 
     The unpruned search is enumerate_types' grow without its row-count
     bound, so this count is an upper bound on the nodes enumerate_types
@@ -218,6 +219,8 @@ def _search_nodes(u: int, b: int) -> int:
     built one weight class at a time.
     """
     vmin, vmax = u + b, b * (u - 1)
+    if max_v is not None:
+        vmax = min(vmax, max_v)
     if vmin > vmax:
         return 0
     least = comb(comb(u, 2) + vmin, vmin)
@@ -242,8 +245,9 @@ def _search_nodes(u: int, b: int) -> int:
                for v in range(vmin, vmax + 1))
 
 
-def enumerate_types(m: int, b: int) -> list[PatternType]:
-    """All canonical types of regular irreducible patterns for T_{m x n}(1, b, 0).
+def enumerate_types(m: int, b: int, max_v: int | None = None) -> list[PatternType]:
+    """All canonical types of regular irreducible patterns for T_{m x n}(1, b, 0),
+    or only those with at most max_v columns.
 
     Types are n-independent: a type with v columns embeds in any grid with
     n >= v, so the enumeration ranges only over u <= m and the feasibility
@@ -256,13 +260,15 @@ def enumerate_types(m: int, b: int) -> list[PatternType]:
     the row order, so only leaves with non-increasing row counts are tested.
     The unpruned search is counted first (_search_nodes, an upper bound on
     the nodes visited) and refused before it starts when it would visit more
-    than ENUMERATION_GUARD nodes.
+    than ENUMERATION_GUARD nodes.  Given max_v, the search and the count
+    cover only the widths v <= max_v; a grid with n columns holds only the
+    types with v <= n.
     """
     if m < 1 or b < 1:
         raise ValueError("need m >= 1 and b >= 1")
     nodes = 0
     for u in range(1, m + 1):
-        nodes += _search_nodes(u, b)
+        nodes += _search_nodes(u, b, max_v)
         if nodes > ENUMERATION_GUARD:
             raise ResourceGuard(
                 f"mask search space exceeds cap: at least {nodes} search nodes "
@@ -270,6 +276,8 @@ def enumerate_types(m: int, b: int) -> list[PatternType]:
     found = {}
     for u in range(1, m + 1):
         vmin, vmax = u + b, b * (u - 1)
+        if max_v is not None:
+            vmax = min(vmax, max_v)
         if vmin > vmax:
             continue
         # column types: subsets of the u rows with at least 2 cells

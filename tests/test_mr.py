@@ -375,6 +375,45 @@ def test_certify_resource_guard():
         certify_mr(code, instantiation_cap=10)
 
 
+def test_sweep_plan_cache_contract(certified_t46, certified_t37):
+    # the plan is a module-level functools cache of mrgrid.mr, so emptying
+    # every cache_clear found in the module's namespace (as perfbench/run.py
+    # does before each op) empties it
+    assert mr._sweep_plan in [obj for obj in vars(mr).values()
+                              if callable(getattr(obj, "cache_clear", None))]
+    t46, _, _ = certified_t46
+    t37, _, _ = certified_t37
+    s = FieldSpec(7)
+    bad46 = simple_code(s, 4, 6, 2, [pow(3, t, 7) for t in range(6)])
+    bad37 = simple_code(s, 3, 7, 3, range(7))
+    calls = [(t46, True), (bad46, True), (t37, True), (bad37, True), (t46, False),
+             (bad46, False), (t46, True), (bad46, True)]
+    cold = []
+    for code, dedupe in calls:
+        mr._sweep_plan.cache_clear()
+        cold.append(certify_mr(code, dedupe_rows=dedupe))
+    assert [r.verdict for r in cold] == ["certified", "failed_pattern"] * 4
+    mr._sweep_plan.cache_clear()
+    warm = [certify_mr(code, dedupe_rows=dedupe) for code, dedupe in calls]
+    assert warm == cold
+    # one miss per change of shape or mode; the plan of the last one is kept
+    info = mr._sweep_plan.cache_info()
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (4, 4, 1, 1)
+
+
+def test_sweep_plan_does_not_cache_a_resource_guard(certified_t46):
+    code, _, _ = certified_t46
+    mr._sweep_plan.cache_clear()
+    with pytest.raises(ResourceGuard, match="75 pattern classes exceed cap 10"):
+        certify_mr(code, instantiation_cap=10)
+    assert mr._sweep_plan.cache_info().currsize == 0
+    rep = certify_mr(code)
+    assert (rep.verdict, rep.patterns_checked) == ("certified", 75)
+    # the low cap fails again, though the default cap's plan is cached
+    with pytest.raises(ResourceGuard, match="75 pattern classes exceed cap 10"):
+        certify_mr(code, instantiation_cap=10)
+
+
 def test_certify_t4x13_gf16_always_fails():
     # below the (n-3)^2/4 + 2 threshold no MDS row code certifies
     rng = random.Random(3)
@@ -587,6 +626,9 @@ def test_involution_free_code_takes_the_determinant_path_on_every_type2_class(mo
     monkeypatch.setattr(mr, "block_template", counted_template)
     monkeypatch.setattr(mr, "_walk", counted_walk)
     monkeypatch.setattr(mr, "_pair_determinant", counted_determinant)
+    # search_mr has built and cached this shape's plan with the real
+    # block_template; drop it so the counted one compiles the templates
+    mr._sweep_plan.cache_clear()
     rep = certify_mr(code)
     assert (rep.verdict, rep.patterns_checked) == ("certified", 2100)
     # C(8, 6) column subsets times 45 Type I and 30 Type II row classes:
@@ -597,6 +639,12 @@ def test_involution_free_code_takes_the_determinant_path_on_every_type2_class(mo
     assert len(compiled) == 45 and not any(map(_mask_pairing, compiled))
     assert [w for w in walked if w[0]] == [(45, 45, 45)] * 28
     assert sum(n for n, _, _ in walked) == 28 * 45 == 2100 - 28 * 30
+    # a second certification of the shape reuses the plan: it compiles no
+    # template and runs the same sweep
+    del determinants[:], walked[:]
+    assert certify_mr(code) == rep
+    assert len(compiled) == 45 and len(determinants) == 28 * 30
+    assert [w for w in walked if w[0]] == [(45, 45, 45)] * 28
 
 
 def _first_dependent_row(rows, spec, height):

@@ -148,10 +148,13 @@ def test_enumerate_types_resource_guard(monkeypatch):
         enumerate_types(5, 3)
 
 
-def _grow_calls(u, b):
+def _grow_calls(u, b, max_v=None):
     """Calls of the unpruned column search (brute_enumerate_types) for u-row
-    types, by running the same recursion without emitting types."""
+    types with at most max_v columns, by running the same recursion without
+    emitting types."""
     vmin, vmax = u + b, b * (u - 1)
+    if max_v is not None:
+        vmax = min(vmax, max_v)
     weights = [r for r in range(2, u + 1) for _ in combinations(range(u), r)]
     cap = 2 * b * (u - 1)
     calls = 0
@@ -171,9 +174,26 @@ def _grow_calls(u, b):
 @pytest.mark.parametrize("u,b", [(2, 2), (3, 3), (4, 2), (3, 4), (4, 3), (3, 5), (5, 2)])
 def test_search_node_count_matches_the_recursion(u, b):
     assert patterns._search_nodes(u, b) == _grow_calls(u, b)
+    # bounded widths count only the widths searched: nothing below u + b,
+    # everything from b(u - 1) on
+    counts = [patterns._search_nodes(u, b, max_v) for max_v in range(b * (u - 1) + 2)]
+    assert counts == [_grow_calls(u, b, max_v) for max_v in range(b * (u - 1) + 2)]
+    assert counts[:u + b] == [0] * (u + b) and counts[-1] == counts[-2] == _grow_calls(u, b)
+    assert counts == sorted(counts)
+
+
+@pytest.mark.parametrize("m,b", [(4, 2), (3, 3), (4, 3), (3, 4), (5, 2)])
+def test_width_bounded_enumeration_is_the_filtered_enumeration(m, b):
+    types = enumerate_types(m, b)
+    for max_v in range(b * (m - 1) + 2):
+        assert enumerate_types(m, b, max_v) == [pt for pt in types if pt.v <= max_v], max_v
 
 
 def test_enumerate_types_guard_fails_fast(monkeypatch):
+    # the guard counts only the widths searched: up to 7 columns the unpruned
+    # search of (6, 2) visits 305,657 nodes, and no 6-row type fits
+    assert sum(patterns._search_nodes(u, 2, 7) for u in range(1, 7)) == 305657
+    assert enumerate_types(6, 2, 7) == enumerate_types(5, 2, 7)
     # the unpruned search for (5, 2) visits 924 + 348491 nodes, which bounds
     # the pruned one; a guard one below that refuses it before searching, with
     # the count and the guard in the message
