@@ -12,7 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import MissingConstant
+from .errors import MissingConstant, ResourceGuard
+
+DIGIT_LIMIT = 4300  # Python's default int-to-str limit: the longest value a report prints
+_CAP = 10 ** 12  # the estimates clamp their arguments here, where floats stay precise
 
 
 @dataclass(frozen=True)
@@ -22,6 +25,14 @@ class BoundReport:
     value: object  # int | Fraction | dict with "radicand"/"divisor"
     approx: float | None  # None when the value is too large for a float
     applicability: str
+
+    def __post_init__(self):
+        # the exact parts are ints and Fractions whose denominator is at most 4
+        parts = self.value.values() if isinstance(self.value, dict) else [self.value]
+        longest = max((abs(x.numerator) for x in parts if isinstance(x, (int, Fraction))),
+                      default=0)
+        if longest >= 10 ** DIGIT_LIMIT:
+            _too_long(self.name, max(math.log10(longest), DIGIT_LIMIT), margin=0)
 
     def to_dict(self) -> dict:
         if isinstance(self.value, int):
@@ -63,6 +74,23 @@ def _need_finite(params: dict, *names):
             raise ValueError(f"{x} must be a finite number, got {params[x]}")
 
 
+def _log10_comb_le(n: int, k: int) -> float:
+    """A lower bound on log10 comb_le(n, k) for n, k >= 0: its largest term.
+    comb_le grows with k, so clamping k keeps the bound."""
+    k = min(k, n // 2, _CAP)
+    if k and n > _CAP:
+        return k * (math.log10(n) - math.log10(k))  # C(n, k) >= (n / k)^k
+    return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / math.log(10)
+
+
+def _too_long(name: str, log10_value: float, margin: int = 1):
+    """Raise ResourceGuard when a value of at least 10^log10_value is sure to
+    have more than DIGIT_LIMIT digits; margin absorbs an estimate's rounding."""
+    if log10_value >= DIGIT_LIMIT + margin:
+        raise ResourceGuard(f"{name} has at least {math.floor(log10_value) + 1} digits, "
+                            f"more than the {DIGIT_LIMIT} a report prints")
+
+
 def _need(params: dict, *names):
     missing = [x for x in names if x not in params]
     if missing:
@@ -71,15 +99,22 @@ def _need(params: dict, *names):
 
 
 def bound(name: str, params: dict) -> BoundReport:
-    """Evaluate a named field-size bound; see BOUND_NAMES for the catalogue."""
+    """Evaluate a named field-size bound; see BOUND_NAMES for the catalogue.
+    A value too long to print is refused, by an estimate before it is built."""
     if name == "gopalan_general":
         m, b, n = _need(params, "m", "b", "n")
         redundancy = n + b * m - b
+        if redundancy >= 1 and m * n >= 0:
+            _too_long(name, math.log10(redundancy) + _log10_comb_le(m * n, redundancy))
         value = redundancy * comb_le(m * n, redundancy)
         return BoundReport(name, params, value, _approx(value),
                            "q above this admits an MR instantiation of any topology")
     if name == "kmg_poly":
         m, b, n = _need(params, "m", "b", "n")
+        if m >= 1 and b >= 0 and n >= 1:  # (m+1)! * comb_le(...) * n^k is a lower bound
+            k = min(2 * b * (m - 1), _CAP)
+            _too_long(name, math.lgamma(min(m, _CAP) + 2) / math.log(10)
+                      + _log10_comb_le(m * b * (m - 1), k) + k * math.log10(n))
         value = c0_constant(m, b) * n ** (2 * b * (m - 1)) + n ** (b - 1)
         return BoundReport(name, params, value, _approx(value),
                            "q at or above this admits an MR code for T_{m x n}(1,b,0)")
@@ -117,6 +152,8 @@ def bound(name: str, params: dict) -> BoundReport:
                            "a 2-Sidon subset of Z_N has at most 2*sqrt(N) + 1 elements")
     if name == "type_count":
         m, b = _need(params, "m", "b")
+        if m >= 1 and b >= 0:
+            _too_long(name, _log10_comb_le(m * b * (m - 1), 2 * b * (m - 1)))
         value = comb_le(m * b * (m - 1), 2 * b * (m - 1))
         return BoundReport(name, params, value, _approx(value),
                            "upper bound on the number of regular irreducible pattern types")

@@ -161,31 +161,6 @@ class FieldSpec:
             return self._exp[(self._log[a] * e) % (self.order - 1)]
         return pow(a, e, self.p)
 
-    # ------------------------------------------------------------------
-    # whole-row arithmetic: one call per row instead of one per entry
-    # ------------------------------------------------------------------
-    def scale_row(self, f: int, row) -> list:
-        """[mul(f, x) for x in row]."""
-        if self.k > 1:
-            if f == 0:
-                return [0] * len(row)
-            exp, log = self._exp, self._log
-            lf = log[f]
-            return [exp[lf + log[x]] if x else 0 for x in row]
-        p = self.p
-        return [f * x % p for x in row]
-
-    def sub_scaled_row(self, row, f: int, other) -> list:
-        """[sub(x, mul(f, y)) for x, y in zip(row, other)]."""
-        if self.k > 1:
-            if f == 0:
-                return list(row)
-            exp, log = self._exp, self._log
-            lf = log[f]
-            return [x ^ exp[lf + log[y]] if y else x for x, y in zip(row, other)]
-        p = self.p
-        return [(x - f * y) % p for x, y in zip(row, other)]
-
     def element_order(self, a: int) -> int:
         """Multiplicative order of a nonzero element."""
         if a == 0:

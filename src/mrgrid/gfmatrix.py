@@ -117,17 +117,9 @@ def rank_step(spec: FieldSpec):
     return pivot_key, clear
 
 
-def _echelon(rows: list[list[int]], spec: FieldSpec, pivot_cols: int, reduced: bool):
-    """In-place forward elimination; returns pivot column list.
-
-    reduced=True normalises every pivot to 1 and clears above it too (the
-    form solve_unique reads); reduced=False only clears below each pivot
-    with rank_step, for callers that count pivots.
-    """
-    if reduced:
-        scale_row, sub_scaled_row = spec.scale_row, spec.sub_scaled_row
-    else:
-        pivot_key, clear = rank_step(spec)
+def _echelon(rows: list[list[int]], spec: FieldSpec, pivot_cols: int):
+    """In-place forward elimination by rank_step; returns pivot column list."""
+    pivot_key, clear = rank_step(spec)
     nrows = len(rows)
     pivots = []
     r = 0
@@ -140,20 +132,11 @@ def _echelon(rows: list[list[int]], spec: FieldSpec, pivot_cols: int, reduced: b
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
         prow = rows[r]
-        if reduced:
-            piv_inv = spec.inv(prow[c])
-            if piv_inv != 1:
-                rows[r] = prow = scale_row(piv_inv, prow)
-            for i in range(nrows):
-                f = rows[i][c]
-                if f and i != r:
-                    rows[i] = sub_scaled_row(rows[i], f, prow)
-        else:
-            key = pivot_key(prow[c])
-            for i in range(r + 1, nrows):
-                f = rows[i][c]
-                if f:
-                    rows[i] = clear(rows[i], f, prow, key)
+        key = pivot_key(prow[c])
+        for i in range(r + 1, nrows):
+            f = rows[i][c]
+            if f:
+                rows[i] = clear(rows[i], f, prow, key)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -164,28 +147,32 @@ def _echelon(rows: list[list[int]], spec: FieldSpec, pivot_cols: int, reduced: b
 def rank(m: GFMatrix) -> int:
     """Rank over GF(q) via exact Gaussian elimination."""
     rows = [list(r) for r in m.data]
-    return len(_echelon(rows, m.spec, m.cols, reduced=False))
+    return len(_echelon(rows, m.spec, m.cols))
 
 
 def solve_unique(m: GFMatrix, rhs):
-    """The unique x with m.x = rhs; full column rank required."""
+    """The unique x with m.x = rhs; full column rank required.
+
+    Forward elimination of the augmented rows, then back-substitution: with
+    every column a pivot, row c holds column c's pivot.
+    """
     if len(rhs) != m.rows:
         raise ValueError("rhs length differs from row count")
     spec = m.spec
+    n = m.cols
     rows = [list(r) + [spec.validate(v)] for r, v in zip(m.data, rhs)]
-    if m.rows == 0:
-        if m.cols == 0:
-            return []
-        raise RankDeficient("no equations but unknowns present")
-    pivots = _echelon(rows, spec, m.cols, reduced=True)
-    for r in rows[len(pivots):]:
-        if r[m.cols]:
-            raise Inconsistent("no solution: contradictory equations")
-    if len(pivots) < m.cols:
-        raise RankDeficient(f"column rank {len(pivots)} < {m.cols}")
-    sol = [0] * m.cols
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][m.cols]
+    pivots = _echelon(rows, spec, n)
+    if any(r[n] for r in rows[len(pivots):]):
+        raise Inconsistent("no solution: contradictory equations")
+    if len(pivots) < n:
+        raise RankDeficient(f"column rank {len(pivots)} < {n}")
+    sol = [0] * n
+    for c in reversed(range(n)):
+        row = rows[c]
+        acc = row[n]
+        for j in range(c + 1, n):
+            acc = spec.sub(acc, spec.mul(row[j], sol[j]))
+        sol[c] = spec.div(acc, row[c])
     return sol
 
 
@@ -198,6 +185,6 @@ def every_w_columns_independent(m: GFMatrix, w: int) -> bool:
             f"subset enumeration guard: cols <= {MDS_TEST_MAX_COLS}, w <= {MDS_TEST_MAX_W}")
     for subset in combinations(range(m.cols), w):
         sub = [[r[j] for j in subset] for r in m.data]
-        if len(_echelon(sub, m.spec, w, reduced=False)) < w:
+        if len(_echelon(sub, m.spec, w)) < w:
             return False
     return True

@@ -201,12 +201,14 @@ def brute_orbit_masks(pt):
 # ----------------------------------------------------------------------
 
 def brute_echelon(rows, spec, pivot_cols, reduced):
-    """gfmatrix._echelon with entry-by-entry field ops: same pivoting, in place.
+    """Elimination with entry-by-entry field ops and gfmatrix._echelon's
+    pivoting, in place; returns the pivot column list.
 
-    reduced=True normalises each pivot and clears its whole column;
-    reduced=False clears below each pivot without normalising it, by
-    row <- a*row - f*prow for the pivot a over a prime field and by
-    row <- row - (f/a)*prow over GF(2^k).
+    reduced=False is gfmatrix._echelon: it clears below each pivot without
+    normalising it, by row <- a*row - f*prow for the pivot a over a prime
+    field and by row <- row - (f/a)*prow over GF(2^k).  reduced=True is the
+    Gauss-Jordan reference: it normalises each pivot and clears its whole
+    column, leaving the reduced row echelon form.
     """
     mul, sub, inv = spec.mul, spec.sub, spec.inv
     nrows = len(rows)

@@ -1,11 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from mrgrid import bound, enumerate_types
-from mrgrid.bounds import (comb_le, exceeds_sidon_bound, q_below_t3_threshold,
-                           q_below_t4_threshold)
-from mrgrid.errors import MissingConstant
+from mrgrid.bounds import (DIGIT_LIMIT, _log10_comb_le, comb_le, exceeds_sidon_bound,
+                           q_below_t3_threshold, q_below_t4_threshold)
+from mrgrid.errors import MissingConstant, ResourceGuard
 
 
 def test_kmg_poly_example():
@@ -92,3 +93,28 @@ def test_bound_report_json():
     assert d["value"] == {"numerator": "89", "denominator": "4"}
     d = bound("t3_lower_threshold", {"n": 20}).to_dict()
     assert d["value"]["radicand"] == 214
+
+
+def test_log10_comb_le_is_a_close_lower_bound():
+    # the guard's estimate never exceeds the exact log, and stays within
+    # log10(n + 1) of it, on both sides of the float cap
+    cases = [(n, k) for n in range(60) for k in range(70)]
+    cases += [(10 ** 13, 3), (10 ** 13, 200), (3 * 10 ** 12, 90), (2000, 900), (2000, 1100)]
+    for n, k in cases:
+        exact = math.log10(comb_le(n, k))
+        estimate = _log10_comb_le(n, k)
+        assert estimate <= exact + 1e-9, (n, k)
+        if n <= 10 ** 12:
+            assert exact <= estimate + math.log10(n + 1) + 1e-9, (n, k)
+
+
+def test_the_digit_limit_is_exact():
+    # 24 n^2 + 1 at n = 2 * 10^2149 has 4300 digits and prints; at
+    # n = 3 * 10^2149 it has 4301 and is refused, as is a 4301-digit radicand
+    rep = bound("kmg_poly", {"m": 2, "b": 1, "n": 2 * 10 ** 2149})
+    assert len(rep.to_dict()["value"]) == DIGIT_LIMIT
+    with pytest.raises(ResourceGuard, match="kmg_poly has at least 4301 digits"):
+        bound("kmg_poly", {"m": 2, "b": 1, "n": 3 * 10 ** 2149})
+    assert bound("sidon_max", {"N": 2 * 10 ** 4299}).value["radicand"] == 8 * 10 ** 4299
+    with pytest.raises(ResourceGuard, match="sidon_max has at least 4301 digits"):
+        bound("sidon_max", {"N": 3 * 10 ** 4299})

@@ -54,6 +54,21 @@ def test_bounds_too_large_for_a_float_report_null_approx(capsys, argv):
     assert report["approx"] is None and report["value"] is not None
 
 
+@pytest.mark.parametrize("argv,digits", [
+    (["--name", "type_count", "--m", "40", "--b", "40"], 5378),
+    (["--name", "kmg_poly", "--m", "40", "--b", "40", "--n", "10"], 8548),
+    (["--name", "kmg_poly", "--m", "100", "--b", "100", "--n", "10"], 62110),
+    (["--name", "type_count", "--m", "100", "--b", "100"], 42150),
+    (["--name", "gopalan_general", "--m", "200", "--b", "100", "--n", "200"], 12044),
+])
+def test_bounds_too_long_to_print_are_refused_before_they_are_built(capsys, argv, digits):
+    # each value is estimated from logarithms, never built: exit 1 at once
+    status, out, err = invoke(capsys, ["bounds", *argv])
+    assert status == 1 and out == ""
+    assert err == (f"error: ResourceGuard: {argv[1]} has at least {digits} digits, "
+                   "more than the 4300 a report prints\n")
+
+
 def _strict_json(out):
     def reject(name):
         raise ValueError(f"{name} is not JSON")

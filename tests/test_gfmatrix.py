@@ -156,22 +156,8 @@ def _full_random(spec, rng, nrows, ncols):
 
 
 @pytest.mark.parametrize("q", ORACLE_ORDERS)
-def test_row_primitives_match_entrywise_field_ops(q):
-    spec = spec_for_order(q)
-    rng = random.Random(q)
-    for _ in range(20):
-        n = rng.randrange(9)
-        row = [_sparse_entry(spec, rng) for _ in range(n)]
-        other = [_sparse_entry(spec, rng) for _ in range(n)]
-        for f in (0, 1, rng.randrange(1, q), rng.randrange(q)):
-            assert spec.scale_row(f, row) == [spec.mul(f, x) for x in row]
-            assert spec.sub_scaled_row(row, f, other) == [
-                spec.sub(x, spec.mul(f, y)) for x, y in zip(row, other)]
-
-
-@pytest.mark.parametrize("q", ORACLE_ORDERS)
 def test_echelon_matches_entrywise_oracle(q):
-    """Same pivots and same rows as per-entry elimination, in both modes, on
+    """Same pivots and same rows as per-entry rank-only elimination, on
     rank-deficient matrices with zero rows and columns and on augmented
     systems (pivot_cols one short of the width, as solve_unique calls it)."""
     spec = spec_for_order(q)
@@ -181,14 +167,13 @@ def test_echelon_matches_entrywise_oracle(q):
         make = _rank_deficient if trial % 3 else _full_random
         rows = make(spec, rng, nrows, ncols)
         pivot_cols = ncols - 1 if trial % 4 == 1 else ncols
-        for reduced in (False, True):
-            fast, slow = [list(r) for r in rows], [list(r) for r in rows]
-            assert (_echelon(fast, spec, pivot_cols, reduced)
-                    == brute_echelon(slow, spec, pivot_cols, reduced))
-            assert fast == slow
+        fast, slow = [list(r) for r in rows], [list(r) for r in rows]
+        assert (_echelon(fast, spec, pivot_cols)
+                == brute_echelon(slow, spec, pivot_cols, reduced=False))
+        assert fast == slow
         m = GFMatrix(spec, rows)
         oracle = [list(r) for r in rows]
-        assert rank(m) == len(brute_echelon(oracle, spec, ncols, False))
+        assert rank(m) == len(brute_echelon(oracle, spec, ncols, reduced=False))
 
 
 @pytest.mark.parametrize("q", ORACLE_ORDERS)
@@ -208,8 +193,7 @@ def test_rank_only_echelon_matches_the_reduced_rank(q):
         for _ in range(rng.randrange(3)):
             rows.insert(rng.randrange(len(rows) + 1), list(rng.choice(rows)))
         fast, slow = [list(r) for r in rows], [list(r) for r in rows]
-        assert (_echelon(fast, spec, ncols, reduced=False)
-                == _echelon(slow, spec, ncols, reduced=True))
+        assert _echelon(fast, spec, ncols) == brute_echelon(slow, spec, ncols, reduced=True)
         prow = next((r for r in rows if any(r)), None)
         if prow is None:
             continue
@@ -220,9 +204,56 @@ def test_rank_only_echelon_matches_the_reduced_rank(q):
                 assert cleared[c] == 0
                 # same row space: the same reduced row echelon form
                 before, after = [list(prow), list(row)], [list(prow), cleared]
-                _echelon(before, spec, ncols, reduced=True)
-                _echelon(after, spec, ncols, reduced=True)
+                brute_echelon(before, spec, ncols, reduced=True)
+                brute_echelon(after, spec, ncols, reduced=True)
                 assert before == after
+
+
+def _outcome(solve, m, rhs):
+    """solve(m, rhs) as ("ok", x) or (exception class, message)."""
+    try:
+        return "ok", solve(m, rhs)
+    except (Inconsistent, RankDeficient) as exc:
+        return type(exc), str(exc)
+
+
+def _reduced_solve(m, rhs):
+    """solve_unique read off the entry-by-entry reduced row echelon form."""
+    n = m.cols
+    rows = [list(r) + [v] for r, v in zip(m.data, rhs)]
+    pivots = brute_echelon(rows, m.spec, n, reduced=True)
+    if any(r[n] for r in rows[len(pivots):]):
+        raise Inconsistent("no solution: contradictory equations")
+    if len(pivots) < n:
+        raise RankDeficient(f"column rank {len(pivots)} < {n}")
+    return [r[n] for r in rows[:n]]
+
+
+@pytest.mark.parametrize("q", ORACLE_ORDERS)
+def test_solve_unique_matches_the_reduced_oracle(q):
+    """Back-substitution after the rank-only step gives the solution, the
+    exception class and the message that the normalised elimination gives,
+    on tall, rank-deficient and inconsistent systems; each kind occurs."""
+    spec = spec_for_order(q)
+    rng = random.Random(2000 + q)
+    seen = set()
+    for trial in range(120):
+        ncols = rng.randrange(0, 7)
+        nrows = ncols + rng.randrange(0, 4) if trial % 5 else rng.randrange(0, 8)
+        make = _rank_deficient if trial % 2 else _full_random
+        m = GFMatrix(spec, make(spec, rng, nrows, ncols))
+        x = [rng.randrange(q) for _ in range(m.cols)]
+        rhs = m.mul_vector(x)
+        if nrows and trial % 3 == 0:
+            i = rng.randrange(nrows)
+            rhs[i] = spec.add(rhs[i], rng.randrange(1, q))
+        got = _outcome(solve_unique, m, rhs)
+        assert got == _outcome(_reduced_solve, m, rhs), (m.data, rhs)
+        seen.add((got[0], nrows > ncols))
+        if got[0] == "ok" and trial % 3:
+            assert got[1] == x
+    assert {("ok", True), ("ok", False), (RankDeficient, True),
+            (RankDeficient, False), (Inconsistent, True)} <= seen
 
 
 @pytest.mark.parametrize("q", ORACLE_ORDERS)

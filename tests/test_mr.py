@@ -20,9 +20,9 @@ from mrgrid.mr import (E0_MASK, TYPE_II_MASK, _cross_row, _disjoint_edges, _form
                        _sorted_walk, _walk)
 from mrgrid.patterns import (canonical_type, enumerate_types, row_class_masks,
                              type_orbit_masks)
-from _support import (TYPE_I_MASK, brute_greedy_values, f_t3, f_t4, first_certified,
-                      is_two_sidon, leibniz_determinant, mask_pattern, random_mds_rows,
-                      random_nonzero_row, simple_code, spec_for_order,
+from _support import (TYPE_I_MASK, brute_echelon, brute_greedy_values, f_t3, f_t4,
+                      first_certified, is_two_sidon, leibniz_determinant, mask_pattern,
+                      random_mds_rows, random_nonzero_row, simple_code, spec_for_order,
                       zero_under_some_permutation)
 
 
@@ -445,7 +445,7 @@ def _kernel_classes(code):
             for mask, template in templates:
                 block_t = block_rows(template, [h_cols[j] for j in cols],
                                      [neg_cols[j] for j in cols], height)
-                full = len(_echelon(block_t, spec, height, reduced=False)) == len(template)
+                full = len(_echelon(block_t, spec, height)) == len(template)
                 yield mask_pattern(mask, cols), full
 
 
@@ -652,7 +652,7 @@ def _first_dependent_row(rows, spec, height):
     by normalised elimination of ever longer prefixes."""
     for i in range(len(rows)):
         prefix = [list(r) for r in rows[:i + 1]]
-        if len(_echelon(prefix, spec, height, reduced=True)) <= i:
+        if len(brute_echelon(prefix, spec, height, reduced=True)) <= i:
             return i
     return None
 
@@ -702,7 +702,8 @@ def test_sorted_walk_matches_per_mask_elimination(m, b, n):
 
                     def fails(k):
                         block_t = block_rows(templates[k], col_h, col_neg, height)
-                        return len(_echelon(block_t, spec, height, reduced=True)) < len(block_t)
+                        pivots = brute_echelon(block_t, spec, height, reduced=True)
+                        return len(pivots) < len(block_t)
 
                     expected = next(filter(fails, range(len(templates))), len(templates))
                     entry_rows = block_rows(entries, col_h, col_neg, height)
