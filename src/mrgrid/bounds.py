@@ -27,7 +27,8 @@ class BoundReport:
     applicability: str
 
     def __post_init__(self):
-        # the exact parts are ints and Fractions whose denominator is at most 4
+        # the exact parts are ints and Fractions whose denominator is at most
+        # 4, or n for kmg_poly at b = 0, so the numerator bounds the digits
         parts = self.value.values() if isinstance(self.value, dict) else [self.value]
         longest = max((abs(x.numerator) for x in parts if isinstance(x, (int, Fraction))),
                       default=0)
@@ -111,11 +112,14 @@ def bound(name: str, params: dict) -> BoundReport:
                            "q above this admits an MR instantiation of any topology")
     if name == "kmg_poly":
         m, b, n = _need(params, "m", "b", "n")
-        if m >= 1 and b >= 0 and n >= 1:  # (m+1)! * comb_le(...) * n^k is a lower bound
-            k = min(2 * b * (m - 1), _CAP)
-            _too_long(name, math.lgamma(min(m, _CAP) + 2) / math.log(10)
-                      + _log10_comb_le(m * b * (m - 1), k) + k * math.log10(n))
-        value = c0_constant(m, b) * n ** (2 * b * (m - 1)) + n ** (b - 1)
+        if not (m >= 1 and b >= 0 and n >= 1):
+            raise ValueError(f"kmg_poly needs m >= 1, b >= 0 and n >= 1, "
+                             f"got m = {m}, b = {b}, n = {n}")
+        k = min(2 * b * (m - 1), _CAP)  # (m+1)! * comb_le(...) * n^k is a lower bound
+        _too_long(name, math.lgamma(min(m, _CAP) + 2) / math.log(10)
+                  + _log10_comb_le(m * b * (m - 1), k) + k * math.log10(n))
+        value = (c0_constant(m, b) * n ** (2 * b * (m - 1))
+                 + (n ** (b - 1) if b else Fraction(1, n)))
         return BoundReport(name, params, value, _approx(value),
                            "q at or above this admits an MR code for T_{m x n}(1,b,0)")
     if name in ("t4_upper", "t3_upper"):

@@ -25,7 +25,7 @@ from .errors import (DimensionMismatch, Inconsistent, InconsistentWord,
                      NotIrreducible, RankDeficient, Uncorrectable)
 from .galois import FieldSpec
 from .gfmatrix import GFMatrix, list_of_rows, rank, solve_unique
-from .patterns import ErasurePattern, Topology, is_irreducible
+from .patterns import ErasurePattern, Topology, _check_grid, is_irreducible
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,7 @@ def restricted_rank(code: TensorCode, e: ErasurePattern) -> int:
     would otherwise name the index of another cell.
     """
     t = code.topology
-    if not e.in_bounds(t.m, t.n):
-        raise ValueError("pattern exceeds grid bounds")
+    _check_grid(t, e)
     return rank(pseudo_parity_columns(code, [i * t.n + j for i, j in sorted(e.cells)]))
 
 

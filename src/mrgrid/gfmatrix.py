@@ -1,8 +1,8 @@
 """Dense exact linear algebra over a finite field.
 
 Matrices are immutable (tuple-of-tuples of raw ints plus a FieldSpec);
-elimination always works on private row copies.  Pivoting takes the first
-nonzero entry in column order, so every result is deterministic.
+elimination (row_inserter) inserts rows into an echelon basis in their
+given order and never modifies them, so every result is deterministic.
 """
 
 from __future__ import annotations
@@ -85,15 +85,18 @@ def list_of_rows(data, what: str) -> list:
     return data
 
 
-def rank_step(spec: FieldSpec):
-    """The rank-only elimination step over spec, as (pivot_key, clear).
+def row_inserter(spec: FieldSpec):
+    """The one elimination over spec: insert(basis, row) -> bool.
 
-    clear(row, f, prow, key) clears the entry f = row[c] != 0 against a pivot
-    row prow with prow[c] != 0 and key = pivot_key(prow[c]); the result spans
-    the same space as row together with prow.  No pivot row is normalised:
-    over a prime field the step is fraction-free, row <- a*row - f*prow for
-    the pivot a; over GF(2^k) key is the pivot's log-inverse and
-    row <- row - (f/a)*prow costs one table lookup per entry.
+    basis is a list of (pivot column, row, key) in insertion order, where
+    each row is zero before its own pivot and at the pivots of the rows
+    before it.  insert clears row against the basis rows in that order,
+    appends it with its first nonzero column as pivot and returns True, or
+    returns False if it reduced to zero; the basis then spans the same space
+    as the rows inserted.  No pivot row is normalised: over a prime field the
+    step is fraction-free, row <- a*row - f*prow for the pivot a; over
+    GF(2^k) key is the pivot's log-inverse and row <- row - (f/a)*prow costs
+    one table lookup per entry.
     """
     if spec.k > 1:
         exp, log, n = spec._exp, spec._log, spec.order - 1
@@ -114,64 +117,50 @@ def rank_step(spec: FieldSpec):
 
         def clear(row, f, prow, a):
             return [(a * x - f * y) % p for x, y in zip(row, prow)]
-    return pivot_key, clear
 
-
-def _echelon(rows: list[list[int]], spec: FieldSpec, pivot_cols: int):
-    """In-place forward elimination by rank_step; returns pivot column list."""
-    pivot_key, clear = rank_step(spec)
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(pivot_cols):
-        for pivot in range(r, nrows):
-            if rows[pivot][c]:
-                break
-        else:
-            continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
-        key = pivot_key(prow[c])
-        for i in range(r + 1, nrows):
-            f = rows[i][c]
+    def insert(basis, row) -> bool:
+        for c, prow, key in basis:
+            f = row[c]
             if f:
-                rows[i] = clear(rows[i], f, prow, key)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+                row = clear(row, f, prow, key)
+        for c, x in enumerate(row):
+            if x:
+                basis.append((c, row, pivot_key(x)))
+                return True
+        return False
+    return insert
 
 
 def rank(m: GFMatrix) -> int:
-    """Rank over GF(q) via exact Gaussian elimination."""
-    rows = [list(r) for r in m.data]
-    return len(_echelon(rows, m.spec, m.cols))
+    """Rank over GF(q): the number of rows row_inserter keeps."""
+    insert, basis = row_inserter(m.spec), []
+    return sum(insert(basis, row) for row in m.data)
 
 
 def solve_unique(m: GFMatrix, rhs):
     """The unique x with m.x = rhs; full column rank required.
 
-    Forward elimination of the augmented rows, then back-substitution: with
-    every column a pivot, row c holds column c's pivot.
+    Inserts the augmented rows, then back-substitutes in reverse insertion
+    order: each basis row is zero at the pivots of the rows before it, so
+    once the rows after it are solved, its own pivot is its one unknown.
     """
     if len(rhs) != m.rows:
         raise ValueError("rhs length differs from row count")
     spec = m.spec
     n = m.cols
-    rows = [list(r) + [spec.validate(v)] for r, v in zip(m.data, rhs)]
-    pivots = _echelon(rows, spec, n)
-    if any(r[n] for r in rows[len(pivots):]):
+    insert, basis = row_inserter(spec), []
+    for r, v in zip(m.data, rhs):
+        insert(basis, list(r) + [spec.validate(v)])
+    if any(c == n for c, _, _ in basis):
         raise Inconsistent("no solution: contradictory equations")
-    if len(pivots) < n:
-        raise RankDeficient(f"column rank {len(pivots)} < {n}")
+    if len(basis) < n:
+        raise RankDeficient(f"column rank {len(basis)} < {n}")
     sol = [0] * n
-    for c in reversed(range(n)):
-        row = rows[c]
+    for c, row, _ in reversed(basis):
         acc = row[n]
-        for j in range(c + 1, n):
-            acc = spec.sub(acc, spec.mul(row[j], sol[j]))
+        for x, y in zip(row, sol):
+            if x and y:
+                acc = spec.sub(acc, spec.mul(x, y))
         sol[c] = spec.div(acc, row[c])
     return sol
 
@@ -183,8 +172,9 @@ def every_w_columns_independent(m: GFMatrix, w: int) -> bool:
     if m.cols > MDS_TEST_MAX_COLS or w > MDS_TEST_MAX_W:
         raise ResourceGuard(
             f"subset enumeration guard: cols <= {MDS_TEST_MAX_COLS}, w <= {MDS_TEST_MAX_W}")
+    insert = row_inserter(m.spec)
     for subset in combinations(range(m.cols), w):
-        sub = [[r[j] for j in subset] for r in m.data]
-        if len(_echelon(sub, m.spec, w)) < w:
+        basis = []
+        if sum(insert(basis, [r[j] for j in subset]) for r in m.data) < w:
             return False
     return True

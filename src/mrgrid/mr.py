@@ -12,7 +12,8 @@ only the others.
 Every attack validates its witness before returning: the witness pattern must
 be rank-deficient in the code's own pseudo-parity matrix (codes.restricted_rank,
 the one rank computation behind is_correctable_by and every rank the package
-reports).
+reports).  Every elimination, there and in certify_mr's sweep, inserts rows
+with gfmatrix.row_inserter.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .codes import (TensorCode, block_rows, block_template, build_pseudo_parity,
                     is_correctable_by, negated_columns, restricted_rank)
 from .errors import NotMds, ResourceGuard
 from .galois import FieldSpec, discrete_log, primitive_element
-from .gfmatrix import GFMatrix, every_w_columns_independent, rank, rank_step
+from .gfmatrix import GFMatrix, every_w_columns_independent, rank, row_inserter
 from .patterns import (ErasurePattern, Topology, enumerate_types, row_class_masks,
                        type_orbit_masks)
 
@@ -125,10 +126,18 @@ def find_sum_collision(exponents, modulus: int) -> SidonWitness | None:
 # attacks
 # ----------------------------------------------------------------------
 
-def _masked_pattern(mask, columns) -> ErasurePattern:
-    return ErasurePattern.of((i, columns[k])
-                             for i in range(len(mask))
-                             for k in range(6) if mask[i][k])
+def _validated_outcome(code: TensorCode, mask, columns, failure: str,
+                       witness: SidonWitness | None = None,
+                       detail: dict | None = None) -> AttackOutcome:
+    """The AttackOutcome of mask placed on the six columns, once the pattern
+    is checked to be rank-deficient in code; AssertionError(failure) if not."""
+    pattern = ErasurePattern.of((i, columns[k])
+                                for i in range(len(mask))
+                                for k in range(6) if mask[i][k])
+    r = restricted_rank(code, pattern)
+    if r >= len(pattern.cells):
+        raise AssertionError(failure)
+    return AttackOutcome(pattern, r, witness=witness, detail=detail)
 
 
 def _check_attack_shape(code: TensorCode, b: int, min_m: int):
@@ -170,11 +179,8 @@ def attack_t4(code: TensorCode) -> AttackOutcome | None:
         return None
     columns = tuple(exp_to_col[t] for t in witness.exponents)
     witness = SidonWitness(witness.exponents, witness.pairing, witness.modulus, columns)
-    pattern = _masked_pattern(TYPE_II_MASK, columns)
-    r = restricted_rank(code, pattern)
-    if r >= len(pattern.cells):
-        raise AssertionError("pair-sum witness failed the rank validation")
-    return AttackOutcome(pattern, r, witness=witness)
+    return _validated_outcome(code, TYPE_II_MASK, columns,
+                              "pair-sum witness failed the rank validation", witness=witness)
 
 
 def _disjoint_edges(edges) -> list:
@@ -217,12 +223,9 @@ def attack_t3(code: TensorCode) -> AttackOutcome | None:
     zero_first = [j for j in range(n) if h_row[0, j] == 0]
     if len(zero_first) >= 6:
         columns = tuple(zero_first[:6])
-        pattern = _masked_pattern(E0_MASK, columns)
-        r = restricted_rank(code, pattern)
-        if r >= len(pattern.cells):
-            raise AssertionError("zero-first-coordinate columns failed the rank validation")
-        return AttackOutcome(pattern, r, detail={
-            "kind": "zero_first_coordinate", "columns": list(columns)})
+        return _validated_outcome(
+            code, E0_MASK, columns, "zero-first-coordinate columns failed the rank validation",
+            detail={"kind": "zero_first_coordinate", "columns": list(columns)})
     gammas = {}
     seen = set()
     for j in range(n):
@@ -240,14 +243,11 @@ def attack_t3(code: TensorCode) -> AttackOutcome | None:
     delta, chosen = hit
     (i1, j1), (i2, j2), (i3, j3) = chosen
     columns = (i1, j1, i2, j2, i3, j3)
-    pattern = _masked_pattern(E0_MASK, columns)
-    r = restricted_rank(code, pattern)
-    if r >= len(pattern.cells):
-        raise AssertionError("difference collision failed the rank validation")
-    return AttackOutcome(pattern, r, detail={
-        "kind": "difference_collision",
-        "delta": list(delta),
-        "pairs": [list(p) for p in chosen]})
+    return _validated_outcome(code, E0_MASK, columns,
+                              "difference collision failed the rank validation",
+                              detail={"kind": "difference_collision",
+                                      "delta": list(delta),
+                                      "pairs": [list(p) for p in chosen]})
 
 
 def find_difference_collision(gammas: dict, spec: FieldSpec):
@@ -383,18 +383,17 @@ def _sorted_walk(templates: dict) -> tuple[list, list]:
     return entries, walk
 
 
-def _walk(walk, entry_rows, pivot_key, clear, first: int) -> int:
+def _walk(walk, entry_rows, insert, first: int) -> int:
     """The least mask index k below first whose template in walk has
     dependent rows, else first.
 
     One echelon basis serves the walk: each template truncates it to the
-    prefix it shares with the previous template and inserts its own rows,
-    cleared with gfmatrix.rank_step.  Basis rows keep their insertion order;
-    each has zeros at the pivots of the rows before it, so one pass in that
-    order clears a new row.  A row that reduces to zero ends its template
-    and leaves None at its depth d in the basis; every later template whose
-    lcp exceeds d keeps that None, shares the dependent row and fails with
-    no elimination, and the first template with a shorter lcp drops it.
+    prefix it shares with the previous template and inserts its own rows
+    with insert (gfmatrix.row_inserter).  A row that reduces to zero ends
+    its template and leaves None at its depth d in the basis; every later
+    template whose lcp exceeds d keeps that None, shares the dependent row
+    and fails with no elimination, and the first template with a shorter lcp
+    drops it.
     """
     basis = []
     for k, lcp, suffix in walk:
@@ -403,16 +402,7 @@ def _walk(walk, entry_rows, pivot_key, clear, first: int) -> int:
             first = min(first, k)
             continue
         for e in suffix:
-            row = entry_rows[e]
-            for c, prow, key in basis:
-                f = row[c]
-                if f:
-                    row = clear(row, f, prow, key)
-            for c, x in enumerate(row):
-                if x:
-                    basis.append((c, row, pivot_key(x)))
-                    break
-            else:
+            if not insert(basis, entry_rows[e]):
                 basis.append(None)
                 first = min(first, k)
                 break
@@ -495,10 +485,10 @@ def certify_mr(code: TensorCode,
     template's entries column-major (the left-out last row block first),
     sorts the templates, and keeps for each its mask index and the length
     (lcp) of the prefix it shares with the previous one; _walk runs one
-    echelon basis through them with gfmatrix.rank_step, which normalises no
-    pivot, and returns the least mask index that fails.  So the verdict, the
-    first rank-deficient instantiation in mask order and patterns_checked
-    are those of a mask-by-mask sweep.  The counterexample is reported with
+    echelon basis through them with gfmatrix.row_inserter, the package's one
+    elimination, which normalises no pivot, and returns the least mask index
+    that fails.  So the verdict, the first rank-deficient instantiation in
+    mask order and patterns_checked are those of a mask-by-mask sweep.  The counterexample is reported with
     the rank of the pseudo-parity matrix restricted to it.
     """
     t = code.topology
@@ -510,7 +500,7 @@ def certify_mr(code: TensorCode,
         return CertReport("failed_mds", None, None, 0)
     plan = _sweep_plan(t.m, t.b, t.n, dedupe_rows, instantiation_cap)
     spec = code.spec
-    pivot_key, clear = rank_step(spec)
+    insert = row_inserter(spec)
     h_cols, neg_cols = negated_columns(code)
     checked = 0
     for pt, row_choices, masks, paired, entries, walk in plan:
@@ -522,7 +512,7 @@ def certify_mr(code: TensorCode,
                 first = next((k for k, p in paired if not _pair_determinant(spec, p, col_h)),
                              len(masks))
                 first = _walk(walk, block_rows(entries, col_h, col_neg, height),
-                              pivot_key, clear, first)
+                              insert, first)
                 if first == len(masks):
                     checked += len(masks)
                     continue

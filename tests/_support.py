@@ -200,15 +200,14 @@ def brute_orbit_masks(pt):
 # elimination oracles: one field-method call per matrix entry
 # ----------------------------------------------------------------------
 
-def brute_echelon(rows, spec, pivot_cols, reduced):
-    """Elimination with entry-by-entry field ops and gfmatrix._echelon's
-    pivoting, in place; returns the pivot column list.
+def brute_echelon(rows, spec, pivot_cols):
+    """Gauss-Jordan elimination with entry-by-entry field ops, in place:
+    each pivot (the first nonzero entry of its column at or below the
+    current row, swapped up) is normalised and its whole column cleared,
+    leaving the reduced row echelon form.  Returns the pivot column list.
 
-    reduced=False is gfmatrix._echelon: it clears below each pivot without
-    normalising it, by row <- a*row - f*prow for the pivot a over a prime
-    field and by row <- row - (f/a)*prow over GF(2^k).  reduced=True is the
-    Gauss-Jordan reference: it normalises each pivot and clears its whole
-    column, leaving the reduced row echelon form.
+    It shares no code with gfmatrix.row_inserter, which normalises no pivot,
+    swaps no rows and clears each new row against the basis rows before it.
     """
     mul, sub, inv = spec.mul, spec.sub, spec.inv
     nrows = len(rows)
@@ -221,23 +220,12 @@ def brute_echelon(rows, spec, pivot_cols, reduced):
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
         prow = rows[r]
-        a = prow[c]
-        if reduced:
-            if a != 1:
-                rows[r] = prow = [mul(inv(a), x) for x in prow]
-            a = 1
-        rng = range(nrows) if reduced else range(r + 1, nrows)
-        for i in rng:
-            if i == r:
-                continue
+        if prow[c] != 1:
+            rows[r] = prow = [mul(inv(prow[c]), x) for x in prow]
+        for i in range(nrows):
             f = rows[i][c]
-            if f:
-                row_i = rows[i]
-                if spec.k > 1 or reduced:
-                    g = mul(f, inv(a))
-                    rows[i] = [sub(x, mul(g, y)) for x, y in zip(row_i, prow)]
-                else:
-                    rows[i] = [sub(mul(a, x), mul(f, y)) for x, y in zip(row_i, prow)]
+            if i != r and f:
+                rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
         if r == nrows:

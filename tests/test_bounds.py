@@ -14,6 +14,19 @@ def test_kmg_poly_example():
     assert rep.value == 24 * 100 + 1 == 2401
 
 
+def test_kmg_poly_at_b_zero_is_exact():
+    # c0(2, 0) = 3! * comb_le(0, 0) = 6, and n^(b-1) = 1/3
+    rep = bound("kmg_poly", {"m": 2, "b": 0, "n": 3})
+    assert rep.value == Fraction(19, 3) and isinstance(rep.value, Fraction)
+    assert rep.to_dict()["value"] == {"numerator": "19", "denominator": "3"}
+
+
+@pytest.mark.parametrize("m,b,n", [(2, 0, 0), (-1, 1, 0), (0, 1, 1), (2, -1, 3), (2, 1, 0)])
+def test_kmg_poly_refuses_parameters_outside_its_domain(m, b, n):
+    with pytest.raises(ValueError, match="kmg_poly needs m >= 1, b >= 0 and n >= 1"):
+        bound("kmg_poly", {"m": m, "b": b, "n": n})
+
+
 def test_gopalan_general_example():
     rep = bound("gopalan_general", {"m": 2, "b": 1, "n": 3})
     assert comb_le(6, 4) == 57

@@ -37,6 +37,21 @@ def test_bounds_command(capsys):
     assert json.loads(out)["report"]["value"] == "2401"
 
 
+@pytest.mark.parametrize("args", [["--m", "2", "--b", "0", "--n", "0"],
+                                  ["--m=-1", "--b", "1", "--n", "0"]])
+def test_bounds_kmg_poly_outside_its_domain_is_a_usage_error(capsys, args):
+    status, out, err = invoke(capsys, ["bounds", "--name", "kmg_poly", *args])
+    assert status == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("usage error: kmg_poly needs m >= 1, b >= 0 and n >= 1")
+
+
+def test_bounds_kmg_poly_at_b_zero_reports_a_fraction(capsys):
+    status, out, _ = invoke(capsys, ["bounds", "--name", "kmg_poly",
+                                     "--m", "2", "--b", "0", "--n", "3"])
+    assert status == 0
+    assert json.loads(out)["report"]["value"] == {"numerator": "19", "denominator": "3"}
+
+
 def test_bounds_missing_constant_is_domain_error(capsys):
     status, _, err = invoke(capsys, ["bounds", "--name", "t4_upper", "--n", "9"])
     assert status == 1

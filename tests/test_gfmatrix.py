@@ -6,7 +6,7 @@ import pytest
 from mrgrid import (FieldSpec, GFMatrix, every_w_columns_independent, rank,
                     reduce_restricted, solve_unique)
 from mrgrid.errors import Inconsistent, RankDeficient, ResourceGuard
-from mrgrid.gfmatrix import _echelon, rank_step
+from mrgrid.gfmatrix import row_inserter
 from mrgrid.mr import TYPE_II_MASK
 from _support import (brute_echelon, f_t4, leibniz_determinant, mask_pattern, simple_code,
                       spec_for_order)
@@ -155,35 +155,40 @@ def _full_random(spec, rng, nrows, ncols):
     return [[_sparse_entry(spec, rng) for _ in range(ncols)] for _ in range(nrows)]
 
 
+def _inserted(spec, rows):
+    """The basis row_inserter builds from rows, and what each insert returned."""
+    insert, basis = row_inserter(spec), []
+    return basis, [insert(basis, row) for row in rows]
+
+
 @pytest.mark.parametrize("q", ORACLE_ORDERS)
 def test_echelon_matches_entrywise_oracle(q):
-    """Same pivots and same rows as per-entry rank-only elimination, on
-    rank-deficient matrices with zero rows and columns and on augmented
-    systems (pivot_cols one short of the width, as solve_unique calls it)."""
+    """The basis has the pivots of the Gauss-Jordan reference and the same
+    row space (the same reduced row echelon form), and rank counts its rows,
+    on rank-deficient matrices with zero rows and columns."""
     spec = spec_for_order(q)
     rng = random.Random(q)
     for trial in range(96):
         nrows, ncols = rng.randrange(1, 10), rng.randrange(1, 12)
         make = _rank_deficient if trial % 3 else _full_random
         rows = make(spec, rng, nrows, ncols)
-        pivot_cols = ncols - 1 if trial % 4 == 1 else ncols
-        fast, slow = [list(r) for r in rows], [list(r) for r in rows]
-        assert (_echelon(fast, spec, pivot_cols)
-                == brute_echelon(slow, spec, pivot_cols, reduced=False))
-        assert fast == slow
-        m = GFMatrix(spec, rows)
-        oracle = [list(r) for r in rows]
-        assert rank(m) == len(brute_echelon(oracle, spec, ncols, reduced=False))
+        basis, _ = _inserted(spec, rows)
+        reduced = [list(r) for r in rows]
+        pivots = brute_echelon(reduced, spec, ncols)
+        assert sorted(c for c, _, _ in basis) == pivots
+        assert rank(GFMatrix(spec, rows)) == len(pivots)
+        basis_rows = [list(row) for _, row, _ in basis]
+        assert brute_echelon(basis_rows, spec, ncols) == pivots
+        assert basis_rows == reduced[:len(pivots)]
+        assert not any(map(any, reduced[len(pivots):]))
 
 
 @pytest.mark.parametrize("q", ORACLE_ORDERS)
 def test_rank_only_echelon_matches_the_reduced_rank(q):
-    """The rank-only elimination finds the pivots of the normalised one on
-    matrices with zero rows and repeated rows, and rank_step's clear leaves
-    a zero at the pivot and the row space unchanged."""
+    """Each insert keeps a row exactly when it raises the reduced rank of
+    the rows so far, on matrices with zero rows and repeated rows."""
     spec = spec_for_order(q)
     rng = random.Random(1000 + q)
-    pivot_key, clear = rank_step(spec)
     for trial in range(96):
         nrows, ncols = rng.randrange(1, 10), rng.randrange(1, 12)
         make = _rank_deficient if trial % 2 else _full_random
@@ -192,21 +197,25 @@ def test_rank_only_echelon_matches_the_reduced_rank(q):
             rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
         for _ in range(rng.randrange(3)):
             rows.insert(rng.randrange(len(rows) + 1), list(rng.choice(rows)))
-        fast, slow = [list(r) for r in rows], [list(r) for r in rows]
-        assert _echelon(fast, spec, ncols) == brute_echelon(slow, spec, ncols, reduced=True)
-        prow = next((r for r in rows if any(r)), None)
-        if prow is None:
-            continue
-        c = next(j for j, x in enumerate(prow) if x)
-        for row in rows:
-            if row[c]:
-                cleared = clear(row, row[c], prow, pivot_key(prow[c]))
-                assert cleared[c] == 0
-                # same row space: the same reduced row echelon form
-                before, after = [list(prow), list(row)], [list(prow), cleared]
-                brute_echelon(before, spec, ncols, reduced=True)
-                brute_echelon(after, spec, ncols, reduced=True)
-                assert before == after
+        _, kept = _inserted(spec, rows)
+        ranks = [len(brute_echelon([list(r) for r in rows[:i]], spec, ncols))
+                 for i in range(len(rows) + 1)]
+        assert kept == [b > a for a, b in zip(ranks, ranks[1:])]
+
+
+@pytest.mark.parametrize("q", ORACLE_ORDERS)
+def test_basis_rows_are_zero_before_their_pivot_and_at_earlier_pivots(q):
+    """The invariant that lets one pass in insertion order clear a new row
+    and back-substitution run in reverse insertion order."""
+    spec = spec_for_order(q)
+    rng = random.Random(3000 + q)
+    for trial in range(64):
+        nrows, ncols = rng.randrange(1, 10), rng.randrange(1, 12)
+        make = _rank_deficient if trial % 2 else _full_random
+        basis, _ = _inserted(spec, make(spec, rng, nrows, ncols))
+        for i, (c, row, _) in enumerate(basis):
+            assert row[c] and not any(row[:c])
+            assert not any(row[d] for d, _, _ in basis[:i])
 
 
 def _outcome(solve, m, rhs):
@@ -221,7 +230,7 @@ def _reduced_solve(m, rhs):
     """solve_unique read off the entry-by-entry reduced row echelon form."""
     n = m.cols
     rows = [list(r) + [v] for r, v in zip(m.data, rhs)]
-    pivots = brute_echelon(rows, m.spec, n, reduced=True)
+    pivots = brute_echelon(rows, m.spec, n)
     if any(r[n] for r in rows[len(pivots):]):
         raise Inconsistent("no solution: contradictory equations")
     if len(pivots) < n:

@@ -13,7 +13,7 @@ from mrgrid import (ErasurePattern, FieldSpec, GFMatrix,
 from mrgrid.bounds import q_below_t3_threshold, q_below_t4_threshold
 from mrgrid.codes import block_rows, block_template, negated_columns
 from mrgrid.errors import NotMds, ResourceGuard
-from mrgrid.gfmatrix import _echelon, rank_step
+from mrgrid.gfmatrix import row_inserter
 from mrgrid import mr
 from mrgrid.mr import (E0_MASK, TYPE_II_MASK, _cross_row, _disjoint_edges, _form_row,
                        _greedy_values, _mask_pairing, _pair_determinant,
@@ -445,7 +445,7 @@ def _kernel_classes(code):
             for mask, template in templates:
                 block_t = block_rows(template, [h_cols[j] for j in cols],
                                      [neg_cols[j] for j in cols], height)
-                full = len(_echelon(block_t, spec, height)) == len(template)
+                full = rank(GFMatrix(spec, block_t)) == len(template)
                 yield mask_pattern(mask, cols), full
 
 
@@ -613,8 +613,8 @@ def test_involution_free_code_takes_the_determinant_path_on_every_type2_class(mo
         compiled.append(mask)
         return block_template(b, mask)
 
-    def counted_walk(walk, entry_rows, pivot_key, clear, first):
-        hit = _walk(walk, entry_rows, pivot_key, clear, first)
+    def counted_walk(walk, entry_rows, insert, first):
+        hit = _walk(walk, entry_rows, insert, first)
         walked.append((len(walk), first, hit))
         return hit
 
@@ -652,7 +652,7 @@ def _first_dependent_row(rows, spec, height):
     by normalised elimination of ever longer prefixes."""
     for i in range(len(rows)):
         prefix = [list(r) for r in rows[:i + 1]]
-        if len(brute_echelon(prefix, spec, height, reduced=True)) <= i:
+        if len(brute_echelon(prefix, spec, height)) <= i:
             return i
     return None
 
@@ -688,7 +688,7 @@ def test_sorted_walk_matches_per_mask_elimination(m, b, n):
     failed = sorted_first_differs = shared_dead_prefix = 0
     for q in (7, 8, 11, 13, 16):
         spec = spec_for_order(q)
-        pivot_key, clear = rank_step(spec)
+        insert = row_inserter(spec)
         uniform = [tuple(rng.randrange(q) for _ in range(b)) for _ in range(n)]
         planted = list(uniform)
         planted[0] = (0,) * b
@@ -702,18 +702,18 @@ def test_sorted_walk_matches_per_mask_elimination(m, b, n):
 
                     def fails(k):
                         block_t = block_rows(templates[k], col_h, col_neg, height)
-                        pivots = brute_echelon(block_t, spec, height, reduced=True)
+                        pivots = brute_echelon(block_t, spec, height)
                         return len(pivots) < len(block_t)
 
                     expected = next(filter(fails, range(len(templates))), len(templates))
                     entry_rows = block_rows(entries, col_h, col_neg, height)
-                    assert _walk(walk, entry_rows, pivot_key, clear,
+                    assert _walk(walk, entry_rows, insert,
                                  len(templates)) == expected, (q, pt, cols)
                     # a seeded bound caps the answer (on one subset in eight:
                     # every walk here runs through all of its templates)
                     if rng.randrange(8) == 0:
                         bound = rng.randrange(len(templates) + 1)
-                        assert _walk(walk, entry_rows, pivot_key, clear,
+                        assert _walk(walk, entry_rows, insert,
                                      bound) == min(bound, expected), (q, pt, cols, bound)
                     if expected == len(templates):
                         continue
