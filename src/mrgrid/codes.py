@@ -12,8 +12,9 @@ computed.  For a = 1 and nonzero column coefficients it equals
 |V_E| + rank(B) for the reduced block B of reduce_restricted: (u-1)*b rows
 for an irreducible pattern on u grid rows, laid out from the pattern's mask
 alone (block_template) and filled with the row-code columns and their
-negations (block_rows).  It carries no column coefficient, so one layout
-per mask serves certify_mr's sweep for every code.
+negations (block_rows).  It carries no column coefficient.  certify_mr's
+sweep does not build it: B is the oracle that the sweep's kernel
+coordinates and pair determinants are checked against.
 """
 
 from __future__ import annotations

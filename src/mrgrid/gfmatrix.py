@@ -132,9 +132,17 @@ def row_inserter(spec: FieldSpec):
 
 
 def rank(m: GFMatrix) -> int:
-    """Rank over GF(q): the number of rows row_inserter keeps."""
+    """Rank over GF(q): the number of rows row_inserter keeps.
+
+    Once the basis holds m.cols rows every later row reduces to zero, so the
+    rows of a taller-than-wide matrix stop being inserted there.
+    """
     insert, basis = row_inserter(m.spec), []
-    return sum(insert(basis, row) for row in m.data)
+    for row in m.data:
+        if len(basis) == m.cols:
+            break
+        insert(basis, row)
+    return len(basis)
 
 
 def solve_unique(m: GFMatrix, rhs):

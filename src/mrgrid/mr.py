@@ -7,13 +7,16 @@ pseudo-parity block (the paper's rank-condition polynomial f) vanishes.
 For the paired types (Type II and E0) that block is 6x6, and on the masks
 below its determinant is -D, for a 3x3 determinant D with one row per
 column pair: the pair's binary quadratic form for Type II, the line through
-its two points for E0.  certify_mr takes D for those masks and eliminates
-only the others.
+its two points for E0.  certify_mr takes D for those masks and checks the
+others in kernel coordinates: once both parities are MDS, a pattern on v
+columns is correctable iff the null vectors of h_row on its grid rows'
+column supports, cut to the last v - b of the v columns, are linearly
+independent.
 Every attack validates its witness before returning: the witness pattern must
 be rank-deficient in the code's own pseudo-parity matrix (codes.restricted_rank,
 the one rank computation behind is_correctable_by and every rank the package
-reports).  Every elimination, there and in certify_mr's sweep, inserts rows
-with gfmatrix.row_inserter.
+reports).  Every elimination, there and in certify_mr's sweep and null
+vectors, inserts rows with gfmatrix.row_inserter.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, chain, combinations, compress
 from math import comb
 
 # perfbench/tracing.py (SPAN_POINTS) wraps build_pseudo_parity,
@@ -29,8 +32,8 @@ from math import comb
 # type_orbit_masks, discrete_log and primitive_element at mrgrid.mr, so all of
 # them stay imported here; build_pseudo_parity, is_correctable_by and rank
 # are imported only for that and are not called in this module.
-from .codes import (TensorCode, block_rows, block_template, build_pseudo_parity,
-                    is_correctable_by, negated_columns, restricted_rank)
+from .codes import (TensorCode, build_pseudo_parity, is_correctable_by,
+                    restricted_rank)
 from .errors import NotMds, ResourceGuard
 from .galois import FieldSpec, discrete_log, primitive_element
 from .gfmatrix import GFMatrix, every_w_columns_independent, rank, row_inserter
@@ -351,31 +354,31 @@ def _pair_determinant(spec: FieldSpec, pairing, h_cols) -> int:
 # certification
 # ----------------------------------------------------------------------
 
-def _sorted_walk(templates: dict) -> tuple[list, list]:
-    """(entries, walk): the distinct entries of the templates (a dict from
-    mask index to template), and each template as (k, lcp, suffix) in sorted
-    order.
+def _sorted_walk(b: int, masks: dict) -> tuple[list, list]:
+    """(entries, walk): the distinct rows of the masks (a dict from mask
+    index to mask), each as its column support, and each mask as
+    (k, lcp, suffix) in sorted order.
 
-    Each template's entries are sorted column-major, with the left-out last
-    row block (None) first, and the templates are sorted as tuples of
-    entries; k is the template's mask index, and suffix lists its entries
-    (as indices into entries) past the prefix of length lcp that it shares
-    with the previous one.
+    A row with support C has |C| - b kernel rows (see _null_vectors), and
+    the entries' kernel rows are numbered in entry order.  Each mask's rows
+    are sorted by their index in entries, and the masks are sorted as
+    tuples of their kernel row numbers; k is the mask index, and suffix
+    lists its kernel rows past the prefix of length lcp that it shares with
+    the previous mask.
     """
-    def key(entry):
-        j, off, off0 = entry
-        return j, -1 if off is None else off, off0
-
-    entries = sorted({entry for template in templates.values() for entry in template},
-                     key=key)
-    index = {entry: i for i, entry in enumerate(entries)}
+    support = {row: tuple(compress(range(len(row)), row))
+               for mask in masks.values() for row in mask}
+    entries = sorted(set(support.values()))
+    starts = accumulate((len(s) - b for s in entries), initial=0)
+    numbers = {s: tuple(range(a, a + len(s) - b)) for s, a in zip(entries, starts)}
+    row_numbers = {row: numbers[s] for row, s in support.items()}
     walk = []
     prev = ()
-    for ids, k in sorted((tuple(sorted(index[e] for e in template)), k)
-                         for k, template in templates.items()):
+    for ids, k in sorted((tuple(chain.from_iterable(sorted(map(row_numbers.get, mask)))), k)
+                         for k, mask in masks.items()):
         lcp = 0
-        for a, b in zip(prev, ids):
-            if a != b:
+        for x, y in zip(prev, ids):
+            if x != y:
                 break
             lcp += 1
         walk.append((k, lcp, ids[lcp:]))
@@ -384,16 +387,15 @@ def _sorted_walk(templates: dict) -> tuple[list, list]:
 
 
 def _walk(walk, entry_rows, insert, first: int) -> int:
-    """The least mask index k below first whose template in walk has
-    dependent rows, else first.
+    """The least mask index k below first whose kernel rows in walk are
+    dependent, else first.
 
-    One echelon basis serves the walk: each template truncates it to the
-    prefix it shares with the previous template and inserts its own rows
-    with insert (gfmatrix.row_inserter).  A row that reduces to zero ends
-    its template and leaves None at its depth d in the basis; every later
-    template whose lcp exceeds d keeps that None, shares the dependent row
-    and fails with no elimination, and the first template with a shorter lcp
-    drops it.
+    One echelon basis serves the walk: each mask truncates it to the prefix
+    it shares with the previous mask and inserts its own rows with insert
+    (gfmatrix.row_inserter).  A row that reduces to zero ends its mask and
+    leaves None at its depth d in the basis; every later mask whose lcp
+    exceeds d keeps that None, shares the dependent row and fails with no
+    elimination, and the first mask with a shorter lcp drops it.
     """
     basis = []
     for k, lcp, suffix in walk:
@@ -409,6 +411,41 @@ def _walk(walk, entry_rows, insert, first: int) -> int:
     return first
 
 
+def _null_vectors(insert, h_cols, b: int, columns) -> list:
+    """A basis of the kernel of h_row on the row-code columns columns, each
+    vector as its entries on columns: one vector per column past the first
+    b, zero on the other columns past the first b.
+
+    h_row must be MDS, so the first b columns are independent.  Each column
+    h_c is inserted (gfmatrix.row_inserter) with the unit vector of its
+    position appended; past the first b, its h part clears to zero against
+    them, and what is left of the unit part is the dependency.
+    """
+    basis = []
+    vectors = []
+    for t, c in enumerate(columns):
+        unit = [0] * len(columns)
+        unit[t] = 1
+        insert(basis, list(h_cols[c]) + unit)
+        if t >= b:
+            vectors.append(basis.pop()[1][b:])
+    return vectors
+
+
+def _truncated(vectors, support, b: int, width: int) -> list:
+    """The kernel rows of a mask row with column support support (mask
+    column indices): each of its null vectors at the mask columns b..v-1,
+    as a row of length width = v - b."""
+    rows = []
+    for vec in vectors:
+        row = [0] * width
+        for j, x in zip(support, vec):
+            if j >= b:
+                row[j - b] = x
+        rows.append(row)
+    return rows
+
+
 @lru_cache(maxsize=1)
 def _sweep_plan(m: int, b: int, n: int, dedupe_rows: bool, instantiation_cap: int) -> tuple:
     """The code-independent part of certify_mr's sweep on T_{m x n}(1, b, 0).
@@ -418,10 +455,10 @@ def _sweep_plan(m: int, b: int, n: int, dedupe_rows: bool, instantiation_cap: in
     grid-row choices the masks are placed on, masks the type's row-class
     masks (with dedupe_rows) or orbit masks, paired the (mask index,
     _mask_pairing) of its Type II and E0 masks, and entries and walk the
-    _sorted_walk of the other masks' block_templates.  Raises ResourceGuard
-    before compiling any template when the instantiations exceed
-    instantiation_cap.  Every code of one shape shares the plan, so it is
-    cached; only the last plan is kept, and a ResourceGuard is not cached.
+    _sorted_walk of the other masks' rows.  Raises ResourceGuard before
+    sorting any mask when the instantiations exceed instantiation_cap.
+    Every code of one shape shares the plan, so it is cached; only the last
+    plan is kept, and a ResourceGuard is not cached.
     """
     types = []
     total = 0
@@ -441,9 +478,8 @@ def _sweep_plan(m: int, b: int, n: int, dedupe_rows: bool, instantiation_cap: in
     for pt, row_choices, masks in types:
         pairings = [_mask_pairing(mask) for mask in masks]
         paired = tuple((k, p) for k, p in enumerate(pairings) if p)
-        entries, walk = _sorted_walk({k: block_template(b, mask)
-                                      for k, (mask, p) in enumerate(zip(masks, pairings))
-                                      if not p})
+        entries, walk = _sorted_walk(b, {k: mask for k, (mask, p)
+                                         in enumerate(zip(masks, pairings)) if not p})
         plan.append((pt, row_choices, tuple(masks), paired, tuple(entries), tuple(walk)))
     return tuple(plan)
 
@@ -456,40 +492,43 @@ def certify_mr(code: TensorCode,
     Checks that both parities are MDS (every b columns of h_row independent,
     every column-parity coefficient nonzero), then that every instantiation
     of every regular irreducible pattern type is correctable.  Correctability
-    is invariant under grid-row relabeling (the reduced block only changes by
-    row/column scalings), so by default one representative per row-relabeling
-    class is checked and patterns_checked counts classes; dedupe_rows=False
-    enumerates every embedding literally.
+    is invariant under grid-row relabeling (see below), so by default one
+    representative per row-relabeling class is checked and patterns_checked
+    counts classes; dedupe_rows=False enumerates every embedding literally.
 
-    An instantiation E is correctable iff its reduced block B (see
-    reduce_restricted) has full column rank |E| - |V_E|.  The MDS check has
-    made every column-parity coefficient nonzero, so they drop out of that
-    rank and B's layout depends on the mask alone: each non-pivot cell puts
-    h_j at its row block and -h_j at its pivot's, and the last row block
-    (minus the sum of the others) is left out.  Every type is irreducible,
-    so the sweep skips that test; it compiles each mask once into a
-    block_template, negates each row-code column once, and for each grid-row
-    choice and column subset fills the rows of B transposed (block_rows).
-    The types that fit in n columns, their masks, pairings and templates
-    depend on the shape alone and come from _sweep_plan, built after the MDS
-    check and once per shape.
+    An instantiation E on the columns V is correctable iff H|_E has full
+    column rank, i.e. no nonzero x on E has zero row and column syndromes.
+    With y_i = alpha_i * x_i for the column-parity coefficients alpha_i,
+    which the MDS check has made nonzero, that says the column-sum map from
+    the direct sum over E's grid rows i of ker(h_row on C_i), C_i the row's
+    column support, to ker(h_row on V) is injective.  h_row is MDS, so a
+    vector of ker(h_row on V) is fixed by its entries at V's positions b..v-1.
+    So E is correctable iff the kernel rows of its grid rows have full row
+    rank: for each row, the _null_vectors of h_row on its support, truncated
+    to those positions, in all sum(|C_i| - b) <= v - b rows of length v - b.
+    They depend on the row supports alone, so the grid rows' order and the
+    alphas drop out.  Every type is irreducible, so the sweep skips that
+    test.  The types that fit in n columns, their masks, pairings and
+    sorted walks depend on the shape alone and come from _sweep_plan, built
+    after the MDS check and once per shape; the null vectors depend on the
+    support's columns in the grid alone and are built once per call.
 
     Row order does not change a rank, so the masks of one type are checked
     together on each column subset, in one pass.  Type II masks (b = 2) and
     E0 masks (b = 3) are paired once per mask (_mask_pairing) and take one
-    3x3 pair determinant D on their six row-code columns: B is then 6x6, of
-    the same rank as the block of TYPE_II_MASK or E0_MASK on permuted
-    columns, whose determinant is -D, so the class is correctable iff
-    D != 0.  The least mask index with D = 0 (or the number of masks) seeds
-    _walk over the other masks' templates: _sorted_walk sorts each
-    template's entries column-major (the left-out last row block first),
-    sorts the templates, and keeps for each its mask index and the length
-    (lcp) of the prefix it shares with the previous one; _walk runs one
-    echelon basis through them with gfmatrix.row_inserter, the package's one
-    elimination, which normalises no pivot, and returns the least mask index
-    that fails.  So the verdict, the first rank-deficient instantiation in
-    mask order and patterns_checked are those of a mask-by-mask sweep.  The counterexample is reported with
-    the rank of the pseudo-parity matrix restricted to it.
+    3x3 pair determinant D on their six row-code columns: their reduced
+    block (reduce_restricted) is 6x6, of the same rank as the block of
+    TYPE_II_MASK or E0_MASK on permuted columns, whose determinant is -D, so
+    the class is correctable iff D != 0.  The least mask index with D = 0
+    (or the number of masks) seeds _walk over the other masks: _sorted_walk
+    sorts each mask's rows, sorts the masks, and keeps for each its mask
+    index and the kernel rows of the prefix it shares with the previous
+    one; _walk runs one echelon basis through them with
+    gfmatrix.row_inserter, the package's one elimination, which normalises
+    no pivot, and returns the least mask index that fails.  So the verdict,
+    the first rank-deficient instantiation in mask order and
+    patterns_checked are those of a mask-by-mask sweep.  The counterexample
+    is reported with the rank of the pseudo-parity matrix restricted to it.
     """
     t = code.topology
     if t.a != 1:
@@ -499,20 +538,26 @@ def certify_mr(code: TensorCode,
     if any(code.h_col[0, i] == 0 for i in range(t.m)):
         return CertReport("failed_mds", None, None, 0)
     plan = _sweep_plan(t.m, t.b, t.n, dedupe_rows, instantiation_cap)
-    spec = code.spec
+    spec, b = code.spec, t.b
     insert = row_inserter(spec)
-    h_cols, neg_cols = negated_columns(code)
+    h_cols = list(zip(*code.h_row.data))
+    kernels = {}
     checked = 0
     for pt, row_choices, masks, paired, entries, walk in plan:
-        height = (pt.u - 1) * t.b
+        width = pt.v - b
         for rows in row_choices:
             for cols in combinations(range(t.n), pt.v):
                 col_h = [h_cols[j] for j in cols]
-                col_neg = [neg_cols[j] for j in cols]
                 first = next((k for k, p in paired if not _pair_determinant(spec, p, col_h)),
                              len(masks))
-                first = _walk(walk, block_rows(entries, col_h, col_neg, height),
-                              insert, first)
+                entry_rows = []
+                for support in entries:
+                    key = tuple(cols[j] for j in support)
+                    vectors = kernels.get(key)
+                    if vectors is None:
+                        vectors = kernels[key] = _null_vectors(insert, h_cols, b, key)
+                    entry_rows += _truncated(vectors, support, b, width)
+                first = _walk(walk, entry_rows, insert, first)
                 if first == len(masks):
                     checked += len(masks)
                     continue

@@ -204,6 +204,32 @@ def test_rank_only_echelon_matches_the_reduced_rank(q):
 
 
 @pytest.mark.parametrize("q", ORACLE_ORDERS)
+def test_rank_of_tall_matrices_matches_the_reduced_rank(q):
+    """rank stops inserting rows once its basis holds one per column; on
+    matrices with more rows than columns it still equals the reduced rank,
+    whether they have full column rank, reach it before their last rows, or
+    are rank-deficient."""
+    spec = spec_for_order(q)
+    rng = random.Random(5000 + q)
+    seen = set()
+    for trial in range(96):
+        ncols = rng.randrange(1, 9)
+        nrows = ncols + rng.randrange(1, 14)
+        if trial % 3 == 2:
+            # the last column is zero above the last row
+            rows = [r + [0] for r in _full_random(spec, rng, nrows - 1, ncols - 1)]
+            rows.append(_full_random(spec, rng, 1, ncols - 1)[0] + [rng.randrange(1, q)])
+        else:
+            make = _rank_deficient if trial % 3 else _full_random
+            rows = make(spec, rng, nrows, ncols)
+        expected = len(brute_echelon([list(r) for r in rows], spec, ncols))
+        assert rank(GFMatrix(spec, rows)) == expected
+        early = len(brute_echelon([list(r) for r in rows[:-1]], spec, ncols)) == ncols
+        seen.add("early" if early else "full" if expected == ncols else "deficient")
+    assert seen == {"early", "full", "deficient"}
+
+
+@pytest.mark.parametrize("q", ORACLE_ORDERS)
 def test_basis_rows_are_zero_before_their_pivot_and_at_earlier_pivots(q):
     """The invariant that lets one pass in insertion order clear a new row
     and back-substitution run in reverse insertion order."""

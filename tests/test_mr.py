@@ -1,6 +1,6 @@
 import operator
 import random
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from types import SimpleNamespace
 
 import pytest
@@ -16,8 +16,8 @@ from mrgrid.errors import NotMds, ResourceGuard
 from mrgrid.gfmatrix import row_inserter
 from mrgrid import mr
 from mrgrid.mr import (E0_MASK, TYPE_II_MASK, _cross_row, _disjoint_edges, _form_row,
-                       _greedy_values, _mask_pairing, _pair_determinant,
-                       _sorted_walk, _walk)
+                       _greedy_values, _mask_pairing, _null_vectors, _pair_determinant,
+                       _sorted_walk, _truncated, _walk)
 from mrgrid.patterns import (canonical_type, enumerate_types, row_class_masks,
                              type_orbit_masks)
 from _support import (TYPE_I_MASK, brute_echelon, brute_greedy_values, f_t3, f_t4,
@@ -609,9 +609,9 @@ def test_involution_free_code_takes_the_determinant_path_on_every_type2_class(mo
     assert code is not None
     compiled, walked, determinants = [], [], []
 
-    def counted_template(b, mask):
-        compiled.append(mask)
-        return block_template(b, mask)
+    def counted_sorted_walk(b, masks):
+        compiled.extend(masks.values())
+        return _sorted_walk(b, masks)
 
     def counted_walk(walk, entry_rows, insert, first):
         hit = _walk(walk, entry_rows, insert, first)
@@ -623,24 +623,24 @@ def test_involution_free_code_takes_the_determinant_path_on_every_type2_class(mo
         determinants.append(d)
         return d
 
-    monkeypatch.setattr(mr, "block_template", counted_template)
+    monkeypatch.setattr(mr, "_sorted_walk", counted_sorted_walk)
     monkeypatch.setattr(mr, "_walk", counted_walk)
     monkeypatch.setattr(mr, "_pair_determinant", counted_determinant)
     # search_mr has built and cached this shape's plan with the real
-    # block_template; drop it so the counted one compiles the templates
+    # _sorted_walk; drop it so the counted one sorts the masks
     mr._sweep_plan.cache_clear()
     rep = certify_mr(code)
     assert (rep.verdict, rep.patterns_checked) == ("certified", 2100)
     # C(8, 6) column subsets times 45 Type I and 30 Type II row classes:
-    # every Type II class has D != 0 and none is compiled into a template;
-    # the walk covers exactly the Type I classes, one walk per column subset,
-    # and finds no failure (the Type II walks hold no template)
+    # every Type II class has D != 0 and none is sorted into a walk; the
+    # walk covers exactly the Type I classes, one walk per column subset,
+    # and finds no failure (the Type II walks hold no mask)
     assert len(determinants) == 28 * 30 and all(determinants)
     assert len(compiled) == 45 and not any(map(_mask_pairing, compiled))
     assert [w for w in walked if w[0]] == [(45, 45, 45)] * 28
     assert sum(n for n, _, _ in walked) == 28 * 45 == 2100 - 28 * 30
-    # a second certification of the shape reuses the plan: it compiles no
-    # template and runs the same sweep
+    # a second certification of the shape reuses the plan: it sorts no
+    # mask and runs the same sweep
     del determinants[:], walked[:]
     assert certify_mr(code) == rep
     assert len(compiled) == 45 and len(determinants) == 28 * 30
@@ -657,73 +657,140 @@ def _first_dependent_row(rows, spec, height):
     return None
 
 
+def _supports(mask):
+    return [tuple(j for j, x in enumerate(row) if x) for row in mask]
+
+
+def _kernel_rows(code, supports, cols, insert):
+    """The kernel rows of the row supports on the column subset cols, in
+    order, from certify_mr's own helpers; no null vector is reused."""
+    b = code.topology.b
+    h_cols = list(zip(*code.h_row.data))
+    rows = []
+    for support in supports:
+        vectors = _null_vectors(insert, h_cols, b, tuple(cols[j] for j in support))
+        rows += _truncated(vectors, support, b, len(cols) - b)
+    return rows
+
+
+@pytest.mark.parametrize("m,b", [(4, 2), (3, 3), (4, 3), (3, 4), (5, 2)])
+def test_kernel_rows_agree_with_both_rank_oracles(m, b):
+    # every row-class mask of every type with v <= 7, on three sampled
+    # column subsets of a random MDS row code per field: full row rank of
+    # the kernel rows certify_mr walks, full column rank of H|_E with
+    # random column-parity coefficients (is_correctable_by) and full
+    # column rank of the reduced block (reduce_restricted) agree
+    rng = random.Random(10 * m + b)
+    n = 7
+    verdicts = set()
+    for q in (7, 8, 13, 16, 31):
+        s = spec_for_order(q)
+        insert = row_inserter(s)
+        code = TensorCode(Topology(m, n, 1, b), random_nonzero_row(s, m, rng),
+                          random_mds_rows(s, b, n, rng))
+        for pt in enumerate_types(m, b, n):
+            subsets = list(combinations(range(n), pt.v))
+            for mask in row_class_masks(pt):
+                for cols in rng.sample(subsets, min(3, len(subsets))):
+                    rows = _kernel_rows(code, _supports(mask), cols, insert)
+                    assert all(len(row) == pt.v - b for row in rows)
+                    kernel = len(brute_echelon(rows, s, pt.v - b)) == len(rows)
+                    e = mask_pattern(mask, cols)
+                    direct = is_correctable_by(code, e)
+                    reduced = rank(reduce_restricted(code, e)) == len(e.cells) - pt.v
+                    assert kernel == direct == reduced, (q, e.to_list())
+                    verdicts.add(kernel)
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize("m,b,n", [(4, 2, 8), (3, 3, 8), (4, 3, 8), (3, 4, 8), (5, 2, 7)])
 def test_sorted_walk_matches_per_mask_elimination(m, b, n):
-    # every type's row-class templates, paired or not, on every column subset
-    # of two row codes per field: uniform entries (zeros and repeats
-    # allowed), and the same with a zero column 0 and column 1 a multiple of
-    # column 2, whose rows come first in the sorted order.  The walk must
-    # return the least mask index whose template fails a normalised
-    # elimination of its own, below any seeded bound; some subsets fail
-    # first in sorted order at a template that is not the first in mask
-    # order, and some failing rows lie in a prefix that the next sorted
-    # template shares, so the walk skips that template.
+    # every type's row-class masks, paired or not, on every column subset
+    # of two random MDS row codes per field, with random column-parity
+    # coefficients.  The walk must return the least mask index whose
+    # reduced block (reduce_restricted) lacks full column rank, below any
+    # seeded bound; some subsets fail first in sorted order at a mask that
+    # is not the first in mask order.
     types = []
     for pt in enumerate_types(m, b):
         if pt.v > n:
             continue
-        templates = [block_template(b, mask) for mask in row_class_masks(pt)]
-        entries, walk = _sorted_walk(dict(enumerate(templates)))
+        masks = row_class_masks(pt)
+        entries, walk = _sorted_walk(b, dict(enumerate(masks)))
+        assert entries == sorted({s for mask in masks for s in _supports(mask)})
         assert walk[0][1] == 0
         walked, prev = {}, ()
         for k, lcp, suffix in walk:
             prev = prev[:lcp] + suffix
             walked[k] = prev
-        assert len(walked) == len(walk) == len(templates)
-        index = {e: i for i, e in enumerate(entries)}
-        assert walked == {k: tuple(sorted(index[e] for e in template))
-                          for k, template in enumerate(templates)}
-        types.append((pt, (pt.u - 1) * b, templates, entries, walk, walked))
+        assert len(walked) == len(walk) == len(masks)
+        # a mask walks the kernel rows of its supports, in entry order
+        starts = list(accumulate((len(s) - b for s in entries), initial=0))
+        index = {s: i for i, s in enumerate(entries)}
+        assert walked == {k: tuple(r for i in sorted(index[s] for s in _supports(mask))
+                                   for r in range(starts[i], starts[i + 1]))
+                          for k, mask in enumerate(masks)}
+        types.append((pt, masks, entries, walk, walked))
     rng = random.Random(1000 * m + 100 * b + n)
-    failed = sorted_first_differs = shared_dead_prefix = 0
+    failed = sorted_first_differs = 0
+    for q in (8, 11, 13, 16, 17):
+        spec = spec_for_order(q)
+        insert = row_inserter(spec)
+        for _ in range(2):
+            code = TensorCode(Topology(m, n, 1, b), random_nonzero_row(spec, m, rng),
+                              random_mds_rows(spec, b, n, rng))
+            for pt, masks, entries, walk, walked in types:
+                for cols in combinations(range(n), pt.v):
+
+                    def fails(k):
+                        e = mask_pattern(masks[k], cols)
+                        return rank(reduce_restricted(code, e)) < len(e.cells) - pt.v
+
+                    expected = next(filter(fails, range(len(masks))), len(masks))
+                    entry_rows = _kernel_rows(code, entries, cols, insert)
+                    assert _walk(walk, entry_rows, insert,
+                                 len(masks)) == expected, (q, pt, cols)
+                    # a seeded bound caps the answer (on one subset in eight:
+                    # every walk here runs through all of its masks)
+                    if rng.randrange(8) == 0:
+                        bound = rng.randrange(len(masks) + 1)
+                        assert _walk(walk, entry_rows, insert,
+                                     bound) == min(bound, expected), (q, pt, cols, bound)
+                    if expected < len(masks):
+                        failed += 1
+                        sorted_first_differs += next(k for k, _, _ in walk if fails(k)) != expected
+    assert failed and sorted_first_differs
+    # The walk takes any rows, not only kernel rows: uniform ones, and the
+    # same with a zero first row and the second a multiple of the third,
+    # which come first in the sorted order.  It must return the least mask
+    # index whose walked rows are dependent (normalised elimination); some
+    # failing rows lie in a prefix that the next sorted mask shares, so the
+    # walk skips that mask (the MDS codes above give no such prefix).
+    shared_dead_prefix = 0
     for q in (7, 8, 11, 13, 16):
         spec = spec_for_order(q)
         insert = row_inserter(spec)
-        uniform = [tuple(rng.randrange(q) for _ in range(b)) for _ in range(n)]
-        planted = list(uniform)
-        planted[0] = (0,) * b
-        planted[1] = tuple(spec.mul(rng.randrange(1, q), x) for x in uniform[2])
-        for h_cols in (uniform, planted):
-            neg_cols = [tuple(map(spec.neg, col)) for col in h_cols]
-            for pt, height, templates, entries, walk, walked in types:
-                for cols in combinations(range(n), pt.v):
-                    col_h = [h_cols[j] for j in cols]
-                    col_neg = [neg_cols[j] for j in cols]
+        for pt, masks, entries, walk, walked in types:
+            width = pt.v - b
+            uniform = [[rng.randrange(q) for _ in range(width)]
+                       for _ in range(sum(len(s) - b for s in entries))]
+            planted = [[0] * width, [spec.mul(rng.randrange(1, q), x) for x in uniform[2]]]
+            planted += uniform[2:]
+            for entry_rows in (uniform, planted):
 
-                    def fails(k):
-                        block_t = block_rows(templates[k], col_h, col_neg, height)
-                        pivots = brute_echelon(block_t, spec, height)
-                        return len(pivots) < len(block_t)
+                def fails(k):
+                    rows = [list(entry_rows[e]) for e in walked[k]]
+                    return len(brute_echelon(rows, spec, width)) < len(rows)
 
-                    expected = next(filter(fails, range(len(templates))), len(templates))
-                    entry_rows = block_rows(entries, col_h, col_neg, height)
-                    assert _walk(walk, entry_rows, insert,
-                                 len(templates)) == expected, (q, pt, cols)
-                    # a seeded bound caps the answer (on one subset in eight:
-                    # every walk here runs through all of its templates)
-                    if rng.randrange(8) == 0:
-                        bound = rng.randrange(len(templates) + 1)
-                        assert _walk(walk, entry_rows, insert,
-                                     bound) == min(bound, expected), (q, pt, cols, bound)
-                    if expected == len(templates):
-                        continue
-                    failed += 1
-                    i, k = next((i, k) for i, (k, _, _) in enumerate(walk) if fails(k))
-                    sorted_first_differs += k != expected
-                    depth = _first_dependent_row([entry_rows[e] for e in walked[k]],
-                                                 spec, height)
-                    shared_dead_prefix += i + 1 < len(walk) and depth < walk[i + 1][1]
-    assert failed and sorted_first_differs and shared_dead_prefix
+                expected = next(filter(fails, range(len(masks))), len(masks))
+                assert _walk(walk, entry_rows, insert, len(masks)) == expected, (q, pt)
+                if expected == len(masks):
+                    continue
+                i, k = next((i, k) for i, (k, _, _) in enumerate(walk) if fails(k))
+                depth = _first_dependent_row([entry_rows[e] for e in walked[k]],
+                                             spec, width)
+                shared_dead_prefix += i + 1 < len(walk) and depth < walk[i + 1][1]
+    assert shared_dead_prefix
 
 
 # ----------------------------------------------------------------------
