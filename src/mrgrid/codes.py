@@ -14,7 +14,7 @@ for an irreducible pattern on u grid rows, laid out from the pattern's mask
 alone (block_template) and filled with the row-code columns and their
 negations (block_rows).  It carries no column coefficient.  certify_mr's
 sweep does not build it: B is the oracle that the sweep's kernel
-coordinates and pair determinants are checked against.
+coordinates are checked against.
 """
 
 from __future__ import annotations
@@ -68,7 +68,11 @@ class TensorCode:
     @classmethod
     def from_dict(cls, d: dict) -> "TensorCode":
         topo = Topology(d["m"], d["n"], d["a"], d["b"])
-        return cls(topo, GFMatrix.from_dict(d["h_col"]), GFMatrix.from_dict(d["h_row"]))
+        code = cls(topo, GFMatrix.from_dict(d["h_col"]), GFMatrix.from_dict(d["h_row"]))
+        if "field" in d and FieldSpec.from_dict(d["field"]) != code.spec:
+            raise ValueError(f"code declares field {d['field']!r}, its matrices are over "
+                             f"{code.spec}")
+        return code
 
 
 @dataclass(frozen=True)
@@ -251,13 +255,6 @@ def block_rows(template, h_cols, neg_cols, height: int) -> list[list[int]]:
     return rows
 
 
-def negated_columns(code: TensorCode) -> tuple[list, list]:
-    """The row-code columns h_j of code and their negations -h_j (in GF(2^k)
-    -h_j is h_j itself)."""
-    h_cols = list(zip(*code.h_row.data))
-    return h_cols, [tuple(map(code.spec.neg, col)) for col in h_cols]
-
-
 def reduce_restricted(code: TensorCode, e: ErasurePattern) -> GFMatrix:
     """Eliminate the identity part of H|_E, returning the (u0-1)*b x (|E|-v0) block B.
 
@@ -282,8 +279,7 @@ def reduce_restricted(code: TensorCode, e: ErasurePattern) -> GFMatrix:
     if not all(code.h_col[0, i] for i in rows):
         raise ValueError("the reduction needs nonzero column-parity coefficients")
     mask = [[int((i, j) in e.cells) for j in cols] for i in rows]
-    template = block_template(t.b, mask)
-    h_cols, neg_cols = negated_columns(code)
-    block_t = block_rows(template, [h_cols[j] for j in cols], [neg_cols[j] for j in cols],
-                         (len(rows) - 1) * t.b)
+    h_cols = [tuple(row[j] for row in code.h_row.data) for j in cols]
+    neg_cols = [tuple(map(code.spec.neg, col)) for col in h_cols]  # -h_j is h_j in GF(2^k)
+    block_t = block_rows(block_template(t.b, mask), h_cols, neg_cols, (len(rows) - 1) * t.b)
     return GFMatrix(code.spec, list(zip(*block_t)))

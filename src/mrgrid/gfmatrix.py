@@ -65,7 +65,12 @@ class GFMatrix:
     def from_dict(cls, d: dict) -> "GFMatrix":
         if not isinstance(d, dict):
             raise ValueError(f"a matrix must be an object, got {type(d).__name__}")
-        return cls(FieldSpec.from_dict(d["field"]), list_of_rows(d["data"], "matrix data"))
+        m = cls(FieldSpec.from_dict(d["field"]), list_of_rows(d["data"], "matrix data"))
+        for key in ("rows", "cols"):
+            if key in d and d[key] != getattr(m, key):
+                raise ValueError(f"matrix declares {key} = {d[key]!r}, its data has "
+                                 f"{getattr(m, key)}")
+        return m
 
     def __eq__(self, other):
         return (isinstance(other, GFMatrix) and self.spec == other.spec

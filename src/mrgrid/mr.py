@@ -4,14 +4,10 @@ The two supported attack topologies are T_{4xn}(1,2,0) and T_{3xn}(1,3,0).
 Their pattern types are fixed six-column masks, and a mask placed on six
 columns is uncorrectable exactly when the determinant of its reduced
 pseudo-parity block (the paper's rank-condition polynomial f) vanishes.
-For the paired types (Type II and E0) that block is 6x6, and on the masks
-below its determinant is -D, for a 3x3 determinant D with one row per
-column pair: the pair's binary quadratic form for Type II, the line through
-its two points for E0.  certify_mr takes D for those masks and checks the
-others in kernel coordinates: once both parities are MDS, a pattern on v
-columns is correctable iff the null vectors of h_row on its grid rows'
-column supports, cut to the last v - b of the v columns, are linearly
-independent.
+certify_mr checks every mask of every type in kernel coordinates: once
+both parities are MDS, a pattern on v columns is correctable iff the null
+vectors of h_row on its grid rows' column supports, cut to the last v - b
+of the v columns, are linearly independent.
 Every attack validates its witness before returning: the witness pattern must
 be rank-deficient in the code's own pseudo-parity matrix (codes.restricted_rank,
 the one rank computation behind is_correctable_by and every rank the package
@@ -283,74 +279,6 @@ def find_difference_collision(gammas: dict, spec: FieldSpec):
 
 
 # ----------------------------------------------------------------------
-# pair determinants
-# ----------------------------------------------------------------------
-
-def _form_row(spec: FieldSpec, p, r) -> tuple:
-    """The binary quadratic form (y*s - x*t)(y'*s - x'*t) of the points
-    p = (x, y) and r = (x', y') of P^1, as its s^2, -s*t and t^2 coefficients."""
-    mul = spec.mul
-    (x, y), (x2, y2) = p, r
-    return mul(y, y2), spec.add(mul(x, y2), mul(x2, y)), mul(x, x2)
-
-
-def _cross_row(spec: FieldSpec, p, r) -> tuple:
-    """The cross product p x r: the line through the points p and r of P^2."""
-    mul, sub = spec.mul, spec.sub
-    return (sub(mul(p[1], r[2]), mul(p[2], r[1])),
-            sub(mul(p[2], r[0]), mul(p[0], r[2])),
-            sub(mul(p[0], r[1]), mul(p[1], r[0])))
-
-
-def _mask_pairing(mask):
-    """(pair row, three column pairs) for a Type II or E0 mask, else None.
-
-    A 4-row mask whose six columns have the six distinct 2-row supports is
-    Type II; its columns pair by complementary supports, and a pair's row is
-    its binary quadratic form (_form_row).  A 3-row mask whose six 2-row
-    supports each occur twice is E0; its columns pair by equal supports, and
-    a pair's row is the line through its two points (_cross_row).  Both
-    rules survive any row or column permutation, so they hold on every mask
-    of the two types' orbits.
-    """
-    if len(mask[0]) != 6:
-        return None
-    supports = [frozenset(i for i, x in enumerate(col) if x) for col in zip(*mask)]
-    if any(len(s) != 2 for s in supports):
-        return None
-    if len(mask) == 4 and len(set(supports)) == 6:
-        pair_row, partner = _form_row, frozenset(range(4)).difference
-    elif len(mask) == 3 and all(supports.count(s) == 2 for s in supports):
-        pair_row, partner = _cross_row, frozenset
-    else:
-        return None
-    partners = [next(k for k, r in enumerate(supports) if k != j and r == partner(s))
-                for j, s in enumerate(supports)]
-    return pair_row, tuple((j, k) for j, k in enumerate(partners) if j < k)
-
-
-def _pair_determinant(spec: FieldSpec, pairing, h_cols) -> int:
-    """D: the 3x3 determinant of the pair rows of a _mask_pairing on the six
-    row-code columns h_cols (in mask column order).
-
-    D = 0 says the three pairs are in involution (Type II) or that their
-    three lines meet in one point (E0).  The reduced block of TYPE_II_MASK
-    and of E0_MASK is 6x6 with determinant -D; tests/test_mr.py proves both
-    identities with sympy.  Any other mask of the type erases the same cells
-    as the named mask on permuted rows and columns, and its pairing permutes
-    along, so its block has the same rank and D != 0 makes every class
-    correctable.
-    """
-    pair_row, pairs = pairing
-    (a, b, c), (d, e, f), (g, h, i) = [pair_row(spec, h_cols[j], h_cols[k])
-                                       for j, k in pairs]
-    mul, sub = spec.mul, spec.sub
-    return spec.add(sub(mul(a, sub(mul(e, i), mul(f, h))),
-                        mul(b, sub(mul(d, i), mul(f, g)))),
-                    mul(c, sub(mul(d, h), mul(e, g))))
-
-
-# ----------------------------------------------------------------------
 # certification
 # ----------------------------------------------------------------------
 
@@ -386,9 +314,9 @@ def _sorted_walk(b: int, masks: dict) -> tuple[list, list]:
     return entries, walk
 
 
-def _walk(walk, entry_rows, insert, first: int) -> int:
-    """The least mask index k below first whose kernel rows in walk are
-    dependent, else first.
+def _walk(walk, entry_rows, insert) -> int:
+    """The least mask index k whose kernel rows in walk are dependent, else
+    len(walk), the number of masks.
 
     One echelon basis serves the walk: each mask truncates it to the prefix
     it shares with the previous mask and inserts its own rows with insert
@@ -398,6 +326,7 @@ def _walk(walk, entry_rows, insert, first: int) -> int:
     elimination, and the first mask with a shorter lcp drops it.
     """
     basis = []
+    first = len(walk)
     for k, lcp, suffix in walk:
         del basis[lcp:]
         if basis and basis[-1] is None:
@@ -451,12 +380,11 @@ def _sweep_plan(m: int, b: int, n: int, dedupe_rows: bool, instantiation_cap: in
     """The code-independent part of certify_mr's sweep on T_{m x n}(1, b, 0).
 
     One entry per type with at most n columns, in enumerate_types order:
-    (pt, row_choices, masks, paired, entries, walk).  row_choices are the
-    grid-row choices the masks are placed on, masks the type's row-class
-    masks (with dedupe_rows) or orbit masks, paired the (mask index,
-    _mask_pairing) of its Type II and E0 masks, and entries and walk the
-    _sorted_walk of the other masks' rows.  Raises ResourceGuard before
-    sorting any mask when the instantiations exceed instantiation_cap.
+    (pt, row_choices, masks, entries, walk).  row_choices are the grid-row
+    choices the masks are placed on, masks the type's row-class masks (with
+    dedupe_rows) or orbit masks, and entries and walk the _sorted_walk of
+    every mask's rows.  Raises ResourceGuard before sorting any mask when
+    the instantiations exceed instantiation_cap.
     Every code of one shape shares the plan, so it is cached; only the last
     plan is kept, and a ResourceGuard is not cached.
     """
@@ -476,11 +404,8 @@ def _sweep_plan(m: int, b: int, n: int, dedupe_rows: bool, instantiation_cap: in
         raise ResourceGuard(f"{total} pattern {unit} exceed cap {instantiation_cap}")
     plan = []
     for pt, row_choices, masks in types:
-        pairings = [_mask_pairing(mask) for mask in masks]
-        paired = tuple((k, p) for k, p in enumerate(pairings) if p)
-        entries, walk = _sorted_walk(b, {k: mask for k, (mask, p)
-                                         in enumerate(zip(masks, pairings)) if not p})
-        plan.append((pt, row_choices, tuple(masks), paired, tuple(entries), tuple(walk)))
+        entries, walk = _sorted_walk(b, dict(enumerate(masks)))
+        plan.append((pt, row_choices, tuple(masks), tuple(entries), tuple(walk)))
     return tuple(plan)
 
 
@@ -508,27 +433,21 @@ def certify_mr(code: TensorCode,
     to those positions, in all sum(|C_i| - b) <= v - b rows of length v - b.
     They depend on the row supports alone, so the grid rows' order and the
     alphas drop out.  Every type is irreducible, so the sweep skips that
-    test.  The types that fit in n columns, their masks, pairings and
-    sorted walks depend on the shape alone and come from _sweep_plan, built
-    after the MDS check and once per shape; the null vectors depend on the
-    support's columns in the grid alone and are built once per call.
+    test.  The types that fit in n columns, their masks and sorted walks
+    depend on the shape alone and come from _sweep_plan, built after the
+    MDS check and once per shape; the null vectors depend on the support's
+    columns in the grid alone and are built once per call.
 
     Row order does not change a rank, so the masks of one type are checked
-    together on each column subset, in one pass.  Type II masks (b = 2) and
-    E0 masks (b = 3) are paired once per mask (_mask_pairing) and take one
-    3x3 pair determinant D on their six row-code columns: their reduced
-    block (reduce_restricted) is 6x6, of the same rank as the block of
-    TYPE_II_MASK or E0_MASK on permuted columns, whose determinant is -D, so
-    the class is correctable iff D != 0.  The least mask index with D = 0
-    (or the number of masks) seeds _walk over the other masks: _sorted_walk
-    sorts each mask's rows, sorts the masks, and keeps for each its mask
-    index and the kernel rows of the prefix it shares with the previous
-    one; _walk runs one echelon basis through them with
-    gfmatrix.row_inserter, the package's one elimination, which normalises
-    no pivot, and returns the least mask index that fails.  So the verdict,
-    the first rank-deficient instantiation in mask order and
-    patterns_checked are those of a mask-by-mask sweep.  The counterexample
-    is reported with the rank of the pseudo-parity matrix restricted to it.
+    together on each column subset, in one pass: _sorted_walk sorts each
+    mask's rows, sorts the masks, and keeps for each its mask index and the
+    kernel rows of the prefix it shares with the previous one; _walk runs
+    one echelon basis through them with gfmatrix.row_inserter, the
+    package's one elimination, which normalises no pivot, and returns the
+    least mask index that fails.  So the verdict, the first rank-deficient
+    instantiation in mask order and patterns_checked are those of a
+    mask-by-mask sweep.  The counterexample is reported with the rank of
+    the pseudo-parity matrix restricted to it.
     """
     t = code.topology
     if t.a != 1:
@@ -538,18 +457,15 @@ def certify_mr(code: TensorCode,
     if any(code.h_col[0, i] == 0 for i in range(t.m)):
         return CertReport("failed_mds", None, None, 0)
     plan = _sweep_plan(t.m, t.b, t.n, dedupe_rows, instantiation_cap)
-    spec, b = code.spec, t.b
-    insert = row_inserter(spec)
+    b = t.b
+    insert = row_inserter(code.spec)
     h_cols = list(zip(*code.h_row.data))
     kernels = {}
     checked = 0
-    for pt, row_choices, masks, paired, entries, walk in plan:
+    for pt, row_choices, masks, entries, walk in plan:
         width = pt.v - b
         for rows in row_choices:
             for cols in combinations(range(t.n), pt.v):
-                col_h = [h_cols[j] for j in cols]
-                first = next((k for k, p in paired if not _pair_determinant(spec, p, col_h)),
-                             len(masks))
                 entry_rows = []
                 for support in entries:
                     key = tuple(cols[j] for j in support)
@@ -557,7 +473,7 @@ def certify_mr(code: TensorCode,
                     if vectors is None:
                         vectors = kernels[key] = _null_vectors(insert, h_cols, b, key)
                     entry_rows += _truncated(vectors, support, b, width)
-                first = _walk(walk, entry_rows, insert, first)
+                first = _walk(walk, entry_rows, insert)
                 if first == len(masks):
                     checked += len(masks)
                     continue

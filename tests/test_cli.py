@@ -297,8 +297,10 @@ def _set(path, value):
     _set(["h_row", "data"], 5), _set(["h_row", "data"], [5, 6]),
     _set(["h_row", "field", "p"], "7"), _set(["h_col", "field", "k"], "1"),
     _set(["h_col", "field"], 7), _set(["h_row", "field", "p"], 2 ** 127 - 1),
+    # declared shape or field that disagrees with the data
+    _set(["h_row", "rows"], 3), _set(["h_row", "cols"], 8), _set(["field"], {"p": 11, "k": 1}),
 ], ids=["m-str", "m-float", "h_row-list", "data-int", "rows-int", "p-str", "k-str",
-        "field-int", "p-huge-prime"])
+        "field-int", "p-huge-prime", "h_row-rows", "h_row-cols", "code-field"])
 def test_malformed_code_file_is_usage_error(tmp_path, capsys, command, edit):
     code = edit(_geometric_code(4, 1).to_dict())
     f = tmp_path / "code.json"
@@ -306,6 +308,18 @@ def test_malformed_code_file_is_usage_error(tmp_path, capsys, command, edit):
     status, out, err = invoke(capsys, command + ["--code", str(f)])
     assert status == 2 and out == ""
     assert err.startswith("usage error: ")
+
+
+def test_declared_shape_and_field_are_optional(tmp_path, capsys):
+    code = _geometric_code(4, 1).to_dict()
+    f = tmp_path / "code.json"
+    f.write_text(json.dumps(code))
+    full = invoke(capsys, ["certify", "--code", str(f)])
+    del code["field"]
+    for key in ("h_col", "h_row"):
+        del code[key]["rows"], code[key]["cols"]
+    f.write_text(json.dumps(code))
+    assert invoke(capsys, ["certify", "--code", str(f)]) == full
 
 
 @pytest.mark.parametrize("word", [{"entries": 5}, {"entries": [5, 6]},

@@ -11,12 +11,11 @@ from mrgrid import (ErasurePattern, FieldSpec, GFMatrix,
                     is_correctable_by, is_irreducible, is_regular, primitive_element,
                     rank, reduce_restricted, search_mr)
 from mrgrid.bounds import q_below_t3_threshold, q_below_t4_threshold
-from mrgrid.codes import block_rows, block_template, negated_columns
+from mrgrid.codes import block_rows, block_template
 from mrgrid.errors import NotMds, ResourceGuard
 from mrgrid.gfmatrix import row_inserter
 from mrgrid import mr
-from mrgrid.mr import (E0_MASK, TYPE_II_MASK, _cross_row, _disjoint_edges, _form_row,
-                       _greedy_values, _mask_pairing, _null_vectors, _pair_determinant,
+from mrgrid.mr import (E0_MASK, TYPE_II_MASK, _disjoint_edges, _greedy_values, _null_vectors,
                        _sorted_walk, _truncated, _walk)
 from mrgrid.patterns import (canonical_type, enumerate_types, row_class_masks,
                              type_orbit_masks)
@@ -435,7 +434,8 @@ def _kernel_classes(code):
     the row-code columns alone, with no column-parity coefficient.
     """
     t, spec = code.topology, code.spec
-    h_cols, neg_cols = negated_columns(code)
+    h_cols = list(zip(*code.h_row.data))
+    neg_cols = [tuple(map(spec.neg, col)) for col in h_cols]
     for pt in enumerate_types(t.m, t.b):
         if pt.v > t.n:
             continue
@@ -505,36 +505,54 @@ def test_literal_sweep_matches_the_direct_rank_on_unused_grid_rows():
 
 
 # ----------------------------------------------------------------------
-# pair determinants
+# the Type II and E0 minors (behind attack_t4, attack_t3 and _involution_roots)
 # ----------------------------------------------------------------------
 
 def _symbolic_block_det(mask, b):
     """The determinant of mask's square reduced block B, with symbolic
-    row-code entries h<k><j>, and the pair determinant D when mask is paired.
-    Both come from the library's own block_template, block_rows and
-    _pair_determinant run on sympy expressions; the block has no
-    column-parity coefficient to carry."""
+    row-code entries h<k><j>, from the library's own block_template and
+    block_rows run on sympy expressions; the block has no column-parity
+    coefficient to carry."""
     sp = pytest.importorskip("sympy")
-    ring = SimpleNamespace(add=operator.add, sub=operator.sub, mul=operator.mul)
     h_cols = [tuple(sp.Symbol(f"h{k}{j}") for k in range(b)) for j in range(6)]
     neg_cols = [tuple(-x for x in col) for col in h_cols]
     template = block_template(b, mask)
     block = sp.Matrix(block_rows(template, h_cols, neg_cols, (len(mask) - 1) * b))
     assert block.shape == (6, 6)
-    det = block.det(method="berkowitz")
-    pairing = _mask_pairing(mask)
-    d = _pair_determinant(ring, pairing, h_cols) if pairing else None
-    return sp, det, d, h_cols
+    return sp, block.det(method="berkowitz"), h_cols
+
+
+def _pair_determinant(sp, pair_row, pairs, h_cols):
+    """D: the 3x3 determinant with one pair_row per column pair."""
+    return sp.Matrix([pair_row(h_cols[j], h_cols[k]) for j, k in pairs]).det()
+
+
+def _form_row(p, r):
+    """The binary quadratic form (y*s - x*t)(y'*s - x'*t) of the points
+    p = (x, y) and r = (x', y') of P^1, as its s^2, -s*t and t^2 coefficients."""
+    (x, y), (x2, y2) = p, r
+    return [y * y2, x * y2 + x2 * y, x * x2]
+
+
+def _cross_row(p, r):
+    """The cross product p x r: the line through the points p and r of P^2."""
+    return [p[1] * r[2] - p[2] * r[1], p[2] * r[0] - p[0] * r[2], p[0] * r[1] - p[1] * r[0]]
 
 
 def test_type2_minor_is_the_involution_determinant():
-    sp, det, d, _ = _symbolic_block_det(TYPE_II_MASK, 2)
+    # TYPE_II_MASK's columns pair by complementary 2-row supports; D = 0 says
+    # the three pairs are in involution
+    sp, det, h = _symbolic_block_det(TYPE_II_MASK, 2)
+    d = _pair_determinant(sp, _form_row, ((0, 5), (1, 4), (2, 3)), h)
     assert sp.expand(det + d) == 0
     assert sp.expand(d) != 0
 
 
 def test_e0_minor_is_the_concurrency_determinant():
-    sp, det, d, _ = _symbolic_block_det(E0_MASK, 3)
+    # E0_MASK's columns pair by equal 2-row supports; D = 0 says the three
+    # lines through the pairs' points meet in one point
+    sp, det, h = _symbolic_block_det(E0_MASK, 3)
+    d = _pair_determinant(sp, _cross_row, ((0, 1), (2, 3), (4, 5)), h)
     assert sp.expand(det + d) == 0
     assert sp.expand(d) != 0
 
@@ -542,109 +560,45 @@ def test_e0_minor_is_the_concurrency_determinant():
 def test_type1_minor_factors_into_three_2x2_minors():
     # every Type I class is correctable once h_row is MDS; certify_mr does
     # not use this yet
-    sp, det, d, h = _symbolic_block_det(TYPE_I_MASK, 2)
-    assert d is None
+    sp, det, h = _symbolic_block_det(TYPE_I_MASK, 2)
     pair_minors = [h[j][0] * h[k][1] - h[j][1] * h[k][0] for j, k in ((0, 1), (2, 3), (4, 5))]
     assert sp.expand(det - sp.Mul(*pair_minors)) == 0
 
 
-def test_mask_pairing_on_every_mask_of_both_paired_types():
-    type2, e0 = canonical_type(mask_pattern(TYPE_II_MASK)), canonical_type(mask_pattern(E0_MASK))
-    for m, b in ((4, 2), (3, 3), (5, 2), (4, 3)):
-        for pt in enumerate_types(m, b):
-            if pt.v > 7:
-                continue
-            masks = set(row_class_masks(pt))
-            if pt.v == 6:
-                masks.update(type_orbit_masks(pt))
-            if pt not in (type2, e0):
-                assert all(_mask_pairing(mask) is None for mask in masks), pt
-                continue
-            for mask in masks:
-                pair_row, pairs = _mask_pairing(mask)
-                assert pair_row is (_form_row if pt == type2 else _cross_row)
-                assert len(pairs) == 3 and sorted(j for p in pairs for j in p) == list(range(6))
-                for j, k in pairs:
-                    sj = {i for i in range(pt.u) if mask[i][j]}
-                    sk = {i for i in range(pt.u) if mask[i][k]}
-                    assert len(sj) == len(sk) == 2
-                    assert sk == (set(range(4)) - sj if pt == type2 else sj)
-
-
-@pytest.mark.parametrize("m,b", [(4, 2), (3, 3)])
-def test_nonzero_pair_determinant_classes_are_correctable(m, b):
-    # every row choice of an (m+1)-row grid, every row-class mask and column
-    # subset; h_row is drawn uniformly until MDS, so E0 columns need not lie
-    # on a conic
-    rng = random.Random(10 * m + b)
-    n = 7
-    verdicts = set()
-    for q in (11, 13, 16, 32):
-        s = spec_for_order(q)
-        h_row = None
-        while h_row is None or not every_w_columns_independent(h_row, b):
-            h_row = GFMatrix(s, [[rng.randrange(q) for _ in range(n)] for _ in range(b)])
-        code = TensorCode(Topology(m + 1, n, 1, b), random_nonzero_row(s, m + 1, rng), h_row)
-        h_cols = list(zip(*code.h_row.data))
-        for pt in enumerate_types(m, b):
-            for mask in row_class_masks(pt):
-                pairing = _mask_pairing(mask)
-                if pairing is None:
-                    continue
-                for cols in combinations(range(n), 6):
-                    d = _pair_determinant(s, pairing, [h_cols[j] for j in cols])
-                    verdicts.add(d != 0)
-                    if not d:
-                        continue
-                    for rows in combinations(range(m + 1), pt.u):
-                        e = ErasurePattern.of((rows[i], cols[j]) for i in range(pt.u)
-                                              for j in range(6) if mask[i][j])
-                        assert is_correctable_by(code, e, method="direct"), (q, e.to_list())
-    assert verdicts == {True, False}
-
-
-def test_involution_free_code_takes_the_determinant_path_on_every_type2_class(monkeypatch):
+def test_involution_free_code_walks_every_class(monkeypatch):
     # the code `search --m 4 --b 2 --n 8` reports: greedy values, q = 79
     code = search_mr(4, 2, 8, spec_for_order(79))
     assert code is not None
-    compiled, walked, determinants = [], [], []
+    compiled, walked = [], []
 
     def counted_sorted_walk(b, masks):
         compiled.extend(masks.values())
         return _sorted_walk(b, masks)
 
-    def counted_walk(walk, entry_rows, insert, first):
-        hit = _walk(walk, entry_rows, insert, first)
-        walked.append((len(walk), first, hit))
+    def counted_walk(walk, entry_rows, insert):
+        hit = _walk(walk, entry_rows, insert)
+        walked.append((len(walk), hit))
         return hit
-
-    def counted_determinant(spec, pairing, h_cols):
-        d = _pair_determinant(spec, pairing, h_cols)
-        determinants.append(d)
-        return d
 
     monkeypatch.setattr(mr, "_sorted_walk", counted_sorted_walk)
     monkeypatch.setattr(mr, "_walk", counted_walk)
-    monkeypatch.setattr(mr, "_pair_determinant", counted_determinant)
     # search_mr has built and cached this shape's plan with the real
     # _sorted_walk; drop it so the counted one sorts the masks
     mr._sweep_plan.cache_clear()
     rep = certify_mr(code)
     assert (rep.verdict, rep.patterns_checked) == ("certified", 2100)
     # C(8, 6) column subsets times 45 Type I and 30 Type II row classes:
-    # every Type II class has D != 0 and none is sorted into a walk; the
-    # walk covers exactly the Type I classes, one walk per column subset,
-    # and finds no failure (the Type II walks hold no mask)
-    assert len(determinants) == 28 * 30 and all(determinants)
-    assert len(compiled) == 45 and not any(map(_mask_pairing, compiled))
-    assert [w for w in walked if w[0]] == [(45, 45, 45)] * 28
-    assert sum(n for n, _, _ in walked) == 28 * 45 == 2100 - 28 * 30
+    # every mask of both types is sorted into its type's walk, one walk per
+    # type and column subset, and no walk fails
+    type1, type2 = (canonical_type(mask_pattern(mask)) for mask in (TYPE_I_MASK, TYPE_II_MASK))
+    assert [canonical_type(mask_pattern(mask)) for mask in compiled] == [type1] * 45 + [type2] * 30
+    assert walked == [(45, 45)] * 28 + [(30, 30)] * 28
     # a second certification of the shape reuses the plan: it sorts no
     # mask and runs the same sweep
-    del determinants[:], walked[:]
+    del walked[:]
     assert certify_mr(code) == rep
-    assert len(compiled) == 45 and len(determinants) == 28 * 30
-    assert [w for w in walked if w[0]] == [(45, 45, 45)] * 28
+    assert len(compiled) == 75
+    assert walked == [(45, 45)] * 28 + [(30, 30)] * 28
 
 
 def _first_dependent_row(rows, spec, height):
@@ -705,12 +659,11 @@ def test_kernel_rows_agree_with_both_rank_oracles(m, b):
 
 @pytest.mark.parametrize("m,b,n", [(4, 2, 8), (3, 3, 8), (4, 3, 8), (3, 4, 8), (5, 2, 7)])
 def test_sorted_walk_matches_per_mask_elimination(m, b, n):
-    # every type's row-class masks, paired or not, on every column subset
-    # of two random MDS row codes per field, with random column-parity
-    # coefficients.  The walk must return the least mask index whose
-    # reduced block (reduce_restricted) lacks full column rank, below any
-    # seeded bound; some subsets fail first in sorted order at a mask that
-    # is not the first in mask order.
+    # every type's row-class masks on every column subset of two random MDS
+    # row codes per field, with random column-parity coefficients.  The walk
+    # must return the least mask index whose reduced block
+    # (reduce_restricted) lacks full column rank; some subsets fail first in
+    # sorted order at a mask that is not the first in mask order.
     types = []
     for pt in enumerate_types(m, b):
         if pt.v > n:
@@ -748,14 +701,7 @@ def test_sorted_walk_matches_per_mask_elimination(m, b, n):
 
                     expected = next(filter(fails, range(len(masks))), len(masks))
                     entry_rows = _kernel_rows(code, entries, cols, insert)
-                    assert _walk(walk, entry_rows, insert,
-                                 len(masks)) == expected, (q, pt, cols)
-                    # a seeded bound caps the answer (on one subset in eight:
-                    # every walk here runs through all of its masks)
-                    if rng.randrange(8) == 0:
-                        bound = rng.randrange(len(masks) + 1)
-                        assert _walk(walk, entry_rows, insert,
-                                     bound) == min(bound, expected), (q, pt, cols, bound)
+                    assert _walk(walk, entry_rows, insert) == expected, (q, pt, cols)
                     if expected < len(masks):
                         failed += 1
                         sorted_first_differs += next(k for k, _, _ in walk if fails(k)) != expected
@@ -783,7 +729,7 @@ def test_sorted_walk_matches_per_mask_elimination(m, b, n):
                     return len(brute_echelon(rows, spec, width)) < len(rows)
 
                 expected = next(filter(fails, range(len(masks))), len(masks))
-                assert _walk(walk, entry_rows, insert, len(masks)) == expected, (q, pt)
+                assert _walk(walk, entry_rows, insert) == expected, (q, pt)
                 if expected == len(masks):
                     continue
                 i, k = next((i, k) for i, (k, _, _) in enumerate(walk) if fails(k))
