@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, compress
+from itertools import accumulate, chain, combinations
 from math import comb
 
 # perfbench/tracing.py (SPAN_POINTS) wraps build_pseudo_parity,
@@ -282,28 +282,29 @@ def find_difference_collision(gammas: dict, spec: FieldSpec):
 # certification
 # ----------------------------------------------------------------------
 
-def _sorted_walk(b: int, masks: dict) -> tuple[list, list]:
-    """(entries, walk): the distinct rows of the masks (a dict from mask
-    index to mask), each as its column support, and each mask as
-    (k, lcp, suffix) in sorted order.
+def _sorted_walk(b: int, v: int, masks) -> tuple[list, list]:
+    """(entries, walk): the distinct rows of the masks, each as its column
+    support, and each mask as (k, lcp, suffix) in sorted order.
 
-    A row with support C has |C| - b kernel rows (see _null_vectors), and
-    the entries' kernel rows are numbered in entry order.  Each mask's rows
-    are sorted by their index in entries, and the masks are sorted as
-    tuples of their kernel row numbers; k is the mask index, and suffix
-    lists its kernel rows past the prefix of length lcp that it shares with
-    the previous mask.
+    A mask is a tuple of rows, each a v-bit int with column 0 the most
+    significant bit (as row_class_masks packs them).  A row with support C
+    has |C| - b kernel rows (see _null_vectors), and the entries' kernel
+    rows are numbered in entry order.  Each mask's rows are sorted by their
+    index in entries, and the masks are sorted as tuples of their kernel row
+    numbers; k is the mask's index in masks, and suffix lists its kernel
+    rows past the prefix of length lcp that it shares with the previous mask.
     """
-    support = {row: tuple(compress(range(len(row)), row))
-               for mask in masks.values() for row in mask}
-    entries = sorted(set(support.values()))
+    columns = range(v)
+    support = {row: tuple(j for j in columns if row >> (v - 1 - j) & 1)
+               for row in set(chain.from_iterable(masks))}
+    entries = sorted(support.values())
     starts = accumulate((len(s) - b for s in entries), initial=0)
     numbers = {s: tuple(range(a, a + len(s) - b)) for s, a in zip(entries, starts)}
     row_numbers = {row: numbers[s] for row, s in support.items()}
     walk = []
     prev = ()
     for ids, k in sorted((tuple(chain.from_iterable(sorted(map(row_numbers.get, mask)))), k)
-                         for k, mask in masks.items()):
+                         for k, mask in enumerate(masks)):
         lcp = 0
         for x, y in zip(prev, ids):
             if x != y:
@@ -382,9 +383,10 @@ def _sweep_plan(m: int, b: int, n: int, dedupe_rows: bool, instantiation_cap: in
     One entry per type with at most n columns, in enumerate_types order:
     (pt, row_choices, masks, entries, walk).  row_choices are the grid-row
     choices the masks are placed on, masks the type's row-class masks (with
-    dedupe_rows) or orbit masks, and entries and walk the _sorted_walk of
-    every mask's rows.  Raises ResourceGuard before sorting any mask when
-    the instantiations exceed instantiation_cap.
+    dedupe_rows) or orbit masks, both packed as row_class_masks packs them,
+    and entries and walk the _sorted_walk of every mask's rows.  Raises
+    ResourceGuard before sorting any mask when the instantiations exceed
+    instantiation_cap.
     Every code of one shape shares the plan, so it is cached; only the last
     plan is kept, and a ResourceGuard is not cached.
     """
@@ -396,7 +398,9 @@ def _sweep_plan(m: int, b: int, n: int, dedupe_rows: bool, instantiation_cap: in
             masks = row_class_masks(pt)
         else:
             row_choices = tuple(combinations(range(m), pt.u))
-            masks = type_orbit_masks(pt)
+            orbit = type_orbit_masks(pt)
+            packed = {row: int("".join(map(str, row)), 2) for row in set(chain.from_iterable(orbit))}
+            masks = [tuple(map(packed.__getitem__, mask)) for mask in orbit]
         types.append((pt, row_choices, masks))
         total += len(row_choices) * comb(n, pt.v) * len(masks)
     if total > instantiation_cap:
@@ -404,7 +408,7 @@ def _sweep_plan(m: int, b: int, n: int, dedupe_rows: bool, instantiation_cap: in
         raise ResourceGuard(f"{total} pattern {unit} exceed cap {instantiation_cap}")
     plan = []
     for pt, row_choices, masks in types:
-        entries, walk = _sorted_walk(b, dict(enumerate(masks)))
+        entries, walk = _sorted_walk(b, pt.v, masks)
         plan.append((pt, row_choices, tuple(masks), tuple(entries), tuple(walk)))
     return tuple(plan)
 
@@ -479,7 +483,7 @@ def certify_mr(code: TensorCode,
                     continue
                 mask = masks[first]
                 e = ErasurePattern.of((rows[i], cols[j]) for i in range(pt.u)
-                                      for j in range(pt.v) if mask[i][j])
+                                      for j in range(pt.v) if mask[i] >> (pt.v - 1 - j) & 1)
                 return CertReport("failed_pattern", e, restricted_rank(code, e),
                                   checked + first + 1)
     return CertReport("certified", None, None, checked)

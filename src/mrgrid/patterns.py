@@ -8,9 +8,11 @@ top-down bit strings, so canonicalization costs u! column sorts instead
 of a u!*v! sweep.
 
 A type's embeddings come from the distinct arrangements of its column
-multiset (at most v!): row_class_masks sorts each arrangement's rows to get
-one mask per row-relabelling class, and type_orbit_masks applies the u! row
-permutations to each arrangement to get every mask of the orbit.
+multiset (at most v!).  row_class_masks keeps one arrangement per
+row-relabelling class, the least under the row permutations that map the
+column multiset to itself, and returns it with its rows sorted and packed
+as v-bit ints; type_orbit_masks applies the u! row permutations to each
+arrangement to get every mask of the orbit.
 """
 
 from __future__ import annotations
@@ -245,6 +247,23 @@ def _search_nodes(u: int, b: int, max_v: int | None = None) -> int:
                for v in range(vmin, vmax + 1))
 
 
+def _excess_tables(u: int, b: int) -> list:
+    """_is_regular_leaf's tables for u-row patterns of T(1, b, 0): for each
+    row subset U of at least two rows (as a u-bit mask), the bound b(|U| - 1)
+    and every column's excess max(|c ∩ U| - 1, 0), indexed by the column's
+    u-bit mask c.  Subsets of one row have excess and bound 0."""
+    columns = range(1 << u)
+    return [(b * (size - 1), [max((c & U).bit_count() - 1, 0) for c in columns])
+            for U in range(1, 1 << u) if (size := U.bit_count()) >= 2]
+
+
+def _is_regular_leaf(cols, tables) -> bool:
+    """is_regular(mode="fast") for a = 1 on the pattern whose columns are the
+    u-bit row masks cols, every row of it erased: for each row subset U the
+    erasures past the first in each column sum to at most b(|U| - 1)."""
+    return all(sum(map(excess.__getitem__, cols)) <= bound for bound, excess in tables)
+
+
 def enumerate_types(m: int, b: int, max_v: int | None = None) -> list[PatternType]:
     """All canonical types of regular irreducible patterns for T_{m x n}(1, b, 0),
     or only those with at most max_v columns.
@@ -258,6 +277,10 @@ def enumerate_types(m: int, b: int, max_v: int | None = None) -> list[PatternTyp
     b + 1 with the columns left.  Every row order of a column multiset is a
     leaf of the search, and regularity and canonical_type do not depend on
     the row order, so only leaves with non-increasing row counts are tested.
+    A leaf's columns are u-bit masks, row 0 the most significant bit; it is
+    tested by _is_regular_leaf and canonicalized as canonical_type does,
+    through one column table per row permutation, with each candidate mask
+    packed into one int whose order is the row-major order of masks.
     The unpruned search is counted first (_search_nodes, an upper bound on
     the nodes visited) and refused before it starts when it would visit more
     than ENUMERATION_GUARD nodes.  Given max_v, the search and the count
@@ -273,7 +296,7 @@ def enumerate_types(m: int, b: int, max_v: int | None = None) -> list[PatternTyp
             raise ResourceGuard(
                 f"mask search space exceeds cap: at least {nodes} search nodes "
                 f"(types with up to {u} rows), guard {ENUMERATION_GUARD}")
-    found = {}
+    found = set()
     for u in range(1, m + 1):
         vmin, vmax = u + b, b * (u - 1)
         if max_v is not None:
@@ -281,12 +304,19 @@ def enumerate_types(m: int, b: int, max_v: int | None = None) -> list[PatternTyp
         if vmin > vmax:
             continue
         # column types: subsets of the u rows with at least 2 cells
-        col_types = [frozenset(s) for r in range(2, u + 1)
-                     for s in combinations(range(u), r)]
-        weights = [len(ct) for ct in col_types]
+        col_rows = [s for r in range(2, u + 1) for s in combinations(range(u), r)]
+        col_bits = [sum(1 << (u - 1 - i) for i in s) for s in col_rows]
+        weights = [len(s) for s in col_rows]
         total_cap = 2 * b * (u - 1)
+        tables = _excess_tables(u, b)
+        # a column under a row permutation p: new row k is old row p[k]
+        permuted = [[sum(1 << (u - 1 - k) for k, i in enumerate(p) if c >> (u - 1 - i) & 1)
+                     for c in range(1 << u)] for p in permutations(range(u))]
         for v in range(vmin, vmax + 1):
-            topo = Topology(u, v, 1, b)
+            # a column's cells placed at the low bit of each row's v-bit
+            # field, row 0 the most significant field
+            spread = [sum(1 << ((u - 1 - k) * v) for k in range(u) if c >> (u - 1 - k) & 1)
+                      for c in range(1 << u)]
             chosen = []
             row_counts = [0] * u
 
@@ -294,12 +324,18 @@ def enumerate_types(m: int, b: int, max_v: int | None = None) -> list[PatternTyp
                 # one row order per row permutation class suffices
                 if any(x < y for x, y in zip(row_counts, row_counts[1:])):
                     return
-                pattern = ErasurePattern.of(
-                    (i, j) for j, c in enumerate(chosen) for i in col_types[c])
-                if not is_regular(topo, pattern, mode="fast"):
+                cols = [col_bits[c] for c in chosen]
+                if not _is_regular_leaf(cols, tables):
                     return
-                pt = canonical_type(pattern)
-                found.setdefault((pt.u, pt.v, pt.mask), pt)
+                # the least row-major mask: each row order sorts the columns
+                best = None
+                for table in permuted:
+                    key = 0
+                    for c in sorted(map(table.__getitem__, cols)):
+                        key = key << 1 | spread[c]
+                    if best is None or key < best:
+                        best = key
+                found.add((u, v, best))
 
             def grow(start, weight):
                 remaining = v - len(chosen)
@@ -310,20 +346,22 @@ def enumerate_types(m: int, b: int, max_v: int | None = None) -> list[PatternTyp
                     return
                 if weight + 2 * remaining > total_cap:
                     return
-                for c in range(start, len(col_types)):
+                for c in range(start, len(col_rows)):
                     w = weights[c]
                     if weight + w + 2 * (remaining - 1) > total_cap:
                         continue
                     chosen.append(c)
-                    for i in col_types[c]:
+                    for i in col_rows[c]:
                         row_counts[i] += 1
                     grow(c, weight + w)
                     chosen.pop()
-                    for i in col_types[c]:
+                    for i in col_rows[c]:
                         row_counts[i] -= 1
 
             grow(0, 0)
-    return sorted(found.values(), key=lambda pt: (pt.u, pt.v, pt.mask))
+    return [PatternType(u, v, tuple(tuple(key >> ((u - 1 - i) * v + v - 1 - j) & 1
+                                          for j in range(v)) for i in range(u)))
+            for u, v, key in sorted(found)]
 
 
 def _column_arrangements(pt: PatternType):
@@ -350,19 +388,69 @@ def _column_arrangements(pt: PatternType):
 
 
 def row_class_masks(pt: PatternType) -> list[tuple]:
-    """One mask per row-relabelling class of pt's orbit: the mask with its rows sorted.
+    """One mask per row-relabelling class of pt's orbit, packed: the mask's
+    rows sorted, each row a v-bit int with column 0 the most significant bit.
 
-    Equals sorted({tuple(sorted(mask)) for mask in type_orbit_masks(pt)}):
-    sorting the rows undoes any row permutation, so only the distinct column
-    arrangements need building.
+    Unpacked, equals sorted({tuple(sorted(mask)) for mask in
+    type_orbit_masks(pt)}); int order is 0/1-tuple order, so the order is
+    the same.  Two column arrangements give one class exactly when a row
+    permutation maps one to the other, and such a permutation maps the
+    column multiset to itself: it lies in the group G of those, found among
+    the u! row permutations (a second guard bounds u!).  The arrangements
+    are walked as a prefix tree in lexicographic column order, with the
+    permutations of G that tie the prefix so far (map it to itself); a
+    branch is cut as soon as one of them maps the prefix to a smaller one.
+    So each G-orbit, one class, reaches exactly one leaf: its least
+    arrangement.  The rows grow as fields of one int, one bit per column.
     """
-    arrangements = factorial(pt.v)
-    for k in Counter(zip(*pt.mask)).values():
+    u, v = pt.u, pt.v
+    counts = Counter(zip(*pt.mask))
+    arrangements = factorial(v)
+    for k in counts.values():
         arrangements //= factorial(k)
     if arrangements > ENUMERATION_GUARD:
         raise ResourceGuard(
             f"{arrangements} column arrangements exceed guard {ENUMERATION_GUARD}")
-    return sorted({tuple(sorted(zip(*cols))) for cols in _column_arrangements(pt)})
+    if factorial(u) > ENUMERATION_GUARD:
+        raise ResourceGuard(f"{factorial(u)} row permutations exceed guard {ENUMERATION_GUARD}")
+    kinds = sorted(counts)  # the distinct columns, in lexicographic order
+    index = {col: c for c, col in enumerate(kinds)}
+    # G as permutations of the indices in kinds, less those that fix every
+    # column (the identity among them): they never cut
+    identity = tuple(range(len(kinds)))
+    group = set()
+    for p in permutations(range(u)):
+        image = [tuple(col[i] for i in p) for col in kinds]
+        if {col: counts[old] for col, old in zip(image, kinds)} == counts:
+            group.add(tuple(index[col] for col in image))
+    group.discard(identity)
+    left = [counts[col] for col in kinds]
+    # a column's cells at the low bit of each row's v-bit field
+    spread = [sum(1 << (i * v) for i in range(u) if col[i]) for col in kinds]
+    full = (1 << v) - 1
+    masks = []
+
+    def extend(depth, rows, tied):
+        if depth == v:
+            masks.append(tuple(sorted((rows >> (i * v)) & full for i in range(u))))
+            return
+        for c in range(len(kinds)):
+            if not left[c]:
+                continue
+            still = []
+            for g in tied:
+                if g[c] < c:
+                    break
+                if g[c] == c:
+                    still.append(g)
+            else:
+                left[c] -= 1
+                extend(depth + 1, rows << 1 | spread[c], still)
+                left[c] += 1
+
+    extend(0, 0, list(group))
+    masks.sort()
+    return masks
 
 
 def type_orbit_masks(pt: PatternType) -> list[tuple]:

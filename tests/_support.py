@@ -2,12 +2,13 @@
 
 import random
 import time
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import accumulate, chain, combinations, combinations_with_replacement, permutations
 
 from mrgrid import ErasurePattern, GFMatrix, TensorCode, Topology, search_mr
 # the field-order sweeps of the tests are the ones the CLI search uses
 from mrgrid.galois import prime_powers_upto, spec_for_order
-from mrgrid.patterns import canonical_type, is_regular, type_orbit_masks
+from mrgrid.patterns import (_column_arrangements, canonical_type, enumerate_types, is_regular,
+                             type_orbit_masks)
 
 
 def _is_prime(n):
@@ -194,6 +195,49 @@ def brute_orbit_masks(pt):
         for rperm in rperms:
             seen.add(tuple(rows[p] for p in rperm))
     return sorted(seen)
+
+
+def unpack_mask(mask, v):
+    """A packed mask (each row a v-bit int, column 0 the most significant
+    bit, as row_class_masks returns them) as a tuple of 0/1 row tuples."""
+    return tuple(tuple(row >> (v - 1 - j) & 1 for j in range(v)) for row in mask)
+
+
+def brute_row_class_masks(pt):
+    """row_class_masks by set-dedupe: every distinct column arrangement of
+    pt with its rows sorted, as 0/1 row tuples."""
+    return sorted({tuple(sorted(zip(*cols))) for cols in _column_arrangements(pt)})
+
+
+def tuple_sweep_plan(m, b, n, dedupe_rows=True):
+    """mr._sweep_plan built from 0/1-tuple masks, with the masks left as
+    tuples: each type's brute_row_class_masks (or its orbit masks), each
+    row's support read from its tuple, and the masks sorted by their kernel
+    row numbers with the prefix each shares with the one before it."""
+    plan = []
+    for pt in enumerate_types(m, b, n):
+        if dedupe_rows:
+            row_choices = (range(pt.u),)
+            masks = brute_row_class_masks(pt)
+        else:
+            row_choices = tuple(combinations(range(m), pt.u))
+            masks = type_orbit_masks(pt)
+        support = {row: tuple(j for j, x in enumerate(row) if x) for mask in masks for row in mask}
+        entries = sorted(set(support.values()))
+        starts = list(accumulate((len(s) - b for s in entries), initial=0))
+        numbers = {s: tuple(range(starts[i], starts[i + 1])) for i, s in enumerate(entries)}
+        keyed = sorted((tuple(chain.from_iterable(sorted(numbers[support[row]] for row in mask))), k)
+                       for k, mask in enumerate(masks))
+        walk = []
+        prev = ()
+        for ids, k in keyed:
+            lcp = 0
+            while lcp < min(len(prev), len(ids)) and prev[lcp] == ids[lcp]:
+                lcp += 1
+            walk.append((k, lcp, ids[lcp:]))
+            prev = ids
+        plan.append((pt, row_choices, tuple(masks), tuple(entries), tuple(walk)))
+    return tuple(plan)
 
 
 # ----------------------------------------------------------------------

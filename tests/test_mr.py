@@ -22,7 +22,7 @@ from mrgrid.patterns import (canonical_type, enumerate_types, row_class_masks,
 from _support import (TYPE_I_MASK, brute_echelon, brute_greedy_values, f_t3, f_t4,
                       first_certified, is_two_sidon, leibniz_determinant, mask_pattern,
                       random_mds_rows, random_nonzero_row, simple_code, spec_for_order,
-                      zero_under_some_permutation)
+                      tuple_sweep_plan, unpack_mask, zero_under_some_permutation)
 
 
 # ----------------------------------------------------------------------
@@ -400,6 +400,20 @@ def test_sweep_plan_cache_contract(certified_t46, certified_t37):
     assert (info.hits, info.misses, info.maxsize, info.currsize) == (4, 4, 1, 1)
 
 
+@pytest.mark.parametrize("m,b,n,dedupe", [(4, 2, 8, True), (3, 3, 8, True), (4, 3, 8, True),
+                                          (3, 4, 8, True), (5, 2, 8, True), (4, 2, 7, False),
+                                          (3, 3, 7, False)])
+def test_packed_sweep_plan_equals_the_tuple_plan(m, b, n, dedupe):
+    # the plan keeps its masks packed; unpacked, they and the entries and
+    # walks built from them are those of a plan built on 0/1-tuple masks,
+    # with the row classes found by set-dedupe over column arrangements
+    plan = mr._sweep_plan(m, b, n, dedupe, mr.DEFAULT_INSTANTIATION_CAP)
+    unpacked = tuple((pt, row_choices, tuple(unpack_mask(mask, pt.v) for mask in masks),
+                      entries, walk)
+                     for pt, row_choices, masks, entries, walk in plan)
+    assert unpacked == tuple_sweep_plan(m, b, n, dedupe)
+
+
 def test_sweep_plan_does_not_cache_a_resource_guard(certified_t46):
     code, _, _ = certified_t46
     mr._sweep_plan.cache_clear()
@@ -440,7 +454,8 @@ def _kernel_classes(code):
         if pt.v > t.n:
             continue
         height = (pt.u - 1) * t.b
-        templates = [(mask, block_template(t.b, mask)) for mask in row_class_masks(pt)]
+        masks = [unpack_mask(mask, pt.v) for mask in row_class_masks(pt)]
+        templates = [(mask, block_template(t.b, mask)) for mask in masks]
         for cols in combinations(range(t.n), pt.v):
             for mask, template in templates:
                 block_t = block_rows(template, [h_cols[j] for j in cols],
@@ -571,9 +586,9 @@ def test_involution_free_code_walks_every_class(monkeypatch):
     assert code is not None
     compiled, walked = [], []
 
-    def counted_sorted_walk(b, masks):
-        compiled.extend(masks.values())
-        return _sorted_walk(b, masks)
+    def counted_sorted_walk(b, v, masks):
+        compiled.extend(unpack_mask(mask, v) for mask in masks)
+        return _sorted_walk(b, v, masks)
 
     def counted_walk(walk, entry_rows, insert):
         hit = _walk(walk, entry_rows, insert)
@@ -645,6 +660,7 @@ def test_kernel_rows_agree_with_both_rank_oracles(m, b):
         for pt in enumerate_types(m, b, n):
             subsets = list(combinations(range(n), pt.v))
             for mask in row_class_masks(pt):
+                mask = unpack_mask(mask, pt.v)
                 for cols in rng.sample(subsets, min(3, len(subsets))):
                     rows = _kernel_rows(code, _supports(mask), cols, insert)
                     assert all(len(row) == pt.v - b for row in rows)
@@ -668,8 +684,9 @@ def test_sorted_walk_matches_per_mask_elimination(m, b, n):
     for pt in enumerate_types(m, b):
         if pt.v > n:
             continue
-        masks = row_class_masks(pt)
-        entries, walk = _sorted_walk(b, dict(enumerate(masks)))
+        packed = row_class_masks(pt)
+        masks = [unpack_mask(mask, pt.v) for mask in packed]
+        entries, walk = _sorted_walk(b, pt.v, packed)
         assert entries == sorted({s for mask in masks for s in _supports(mask)})
         assert walk[0][1] == 0
         walked, prev = {}, ()

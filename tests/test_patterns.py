@@ -11,7 +11,7 @@ from mrgrid.errors import EmptyPattern, ResourceGuard
 from mrgrid.mr import E0_MASK, TYPE_II_MASK
 from mrgrid.patterns import row_class_masks, type_orbit_masks
 from _support import (TYPE_I_MASK, brute_enumerate_types, brute_orbit_masks,
-                      instantiate_type, mask_pattern)
+                      brute_row_class_masks, instantiate_type, mask_pattern, unpack_mask)
 
 
 E1 = mask_pattern(TYPE_I_MASK)
@@ -199,7 +199,12 @@ def test_enumerate_types_guard_fails_fast(monkeypatch):
     # the count and the guard in the message
     assert patterns._search_nodes(4, 2) + patterns._search_nodes(5, 2) == 349415
     guard = patterns.ENUMERATION_GUARD
-    monkeypatch.setattr(patterns, "is_regular", None)  # a search that starts fails
+    # a search that reaches a leaf fails: with the guard at the count the
+    # search starts and stops at its first leaf test
+    monkeypatch.setattr(patterns, "_is_regular_leaf", None)
+    monkeypatch.setattr(patterns, "ENUMERATION_GUARD", 349415)
+    with pytest.raises(TypeError, match="'NoneType' object is not callable"):
+        enumerate_types(5, 2)
     monkeypatch.setattr(patterns, "ENUMERATION_GUARD", 349414)
     with pytest.raises(ResourceGuard, match="at least 349415 search nodes .* guard 349414"):
         enumerate_types(5, 2)
@@ -289,9 +294,21 @@ def test_orbit_masks_match_bruteforce_permutation_sweep():
                 continue
             orbit = brute_orbit_masks(pt)
             assert type_orbit_masks(pt) == orbit, pt
-            assert row_class_masks(pt) == sorted({tuple(sorted(mask)) for mask in orbit}), pt
+            classes = [unpack_mask(mask, pt.v) for mask in row_class_masks(pt)]
+            assert classes == sorted({tuple(sorted(mask)) for mask in orbit}), pt
             checked += 1
     assert checked == 14
+
+
+@pytest.mark.parametrize("m,b", [(4, 3), (5, 2)])
+def test_row_class_masks_match_set_dedupe_over_arrangements(m, b):
+    # every type up to eight columns, whatever its row-symmetry group: the
+    # orderly walk keeps exactly one arrangement per class
+    types = enumerate_types(m, b, 8)
+    assert len(types) == {(4, 3): 16, (5, 2): 12}[(m, b)]
+    for pt in types:
+        classes = [unpack_mask(mask, pt.v) for mask in row_class_masks(pt)]
+        assert classes == brute_row_class_masks(pt), pt
 
 
 def test_row_class_masks_examples_and_guard():
@@ -302,10 +319,18 @@ def test_row_class_masks_examples_and_guard():
     assert (len(row_class_masks(one)), len(type_orbit_masks(one))) == (45, 1080)
     # four equal columns have one arrangement, hence one class
     block = canonical_type(ErasurePattern.of((i, j) for i in range(3) for j in range(4)))
-    assert row_class_masks(block) == [((1, 1, 1, 1),) * 3]
+    assert row_class_masks(block) == [(0b1111,) * 3]
+    # rows are packed with column 0 the most significant bit: E0's least
+    # class has the rows 001111, 110011 and 111100
+    assert row_class_masks(canonical_type(E0))[0] == (0b001111, 0b110011, 0b111100)
     # the guard counts distinct arrangements, not u! * v!: eleven distinct
     # columns give 11! of them, checked before any is built
     cols = [tuple((k >> i) & 1 for i in range(4)) for k in range(1, 12)]
     wide = PatternType(4, 11, tuple(zip(*cols)))
     with pytest.raises(ResourceGuard, match="39916800 column arrangements exceed guard"):
         row_class_masks(wide)
+    # G is sought among the u! row permutations: eleven rows are refused
+    # though two equal columns have one arrangement
+    tall = PatternType(11, 2, ((1, 1),) * 11)
+    with pytest.raises(ResourceGuard, match="39916800 row permutations exceed guard"):
+        row_class_masks(tall)
