@@ -10,11 +10,11 @@ A pattern E is correctable when the pseudo-parity matrix restricted to E's
 cells has full column rank; restricted_rank is the one place that rank is
 computed.  For a = 1 and nonzero column coefficients it equals
 |V_E| + rank(B) for the reduced block B of reduce_restricted: (u-1)*b rows
-for an irreducible pattern on u grid rows, laid out from the pattern's mask
-alone (block_template) and filled with the row-code columns and their
-negations (block_rows).  It carries no column coefficient.  certify_mr's
-sweep does not build it: B is the oracle that the sweep's kernel
-coordinates are checked against.
+for an irreducible pattern on u grid rows, one column per cell that is not
+the first erased cell of its grid column, holding that grid column's
+row-code column and its negation.  It carries no column coefficient.
+certify_mr's sweep does not build it: B is the oracle that the sweep's
+kernel coordinates are checked against.
 """
 
 from __future__ import annotations
@@ -217,56 +217,18 @@ def decode(code: TensorCode, word: GridWord):
     return tuple(tuple(r) for r in grid)
 
 
-def block_template(b: int, mask) -> list[tuple]:
-    """The reduced block's layout for a u x v 0/1 mask with no empty row or column.
-
-    In each mask column the first erased row is the pivot; every other
-    erased cell (i, j) with pivot i0 contributes one entry (j, i*b, i0*b), in
-    column-major cell order, with None for i*b when i is the mask's last row.
-    With the row-code columns h_j of the v mask columns, block_rows turns the
-    entries into the rows of B transposed: h_j at row block i, -h_j at row
-    block i0, and row block u-1 left out, so the height is (u-1)*b (see
-    reduce_restricted for why that keeps the rank).  The layout depends on
-    the mask alone, not on the code.
-    """
-    last = len(mask) - 1
-    template = []
-    for j, col in enumerate(zip(*mask)):
-        i0 = col.index(1)
-        for i in range(i0 + 1, len(col)):
-            if col[i]:
-                template.append((j, i * b if i < last else None, i0 * b))
-    return template
-
-
-def block_rows(template, h_cols, neg_cols, height: int) -> list[list[int]]:
-    """One row of length height per template entry: the row-code column
-    h_cols[j] at the cell's block offset (unless it is None) and its negation
-    neg_cols[j] at the pivot's."""
-    rows = []
-    for j, off, off0 in template:
-        row = [0] * height
-        if off is not None:
-            hj = h_cols[j]
-            row[off:off + len(hj)] = hj
-        nj = neg_cols[j]
-        row[off0:off0 + len(nj)] = nj
-        rows.append(row)
-    return rows
-
-
 def reduce_restricted(code: TensorCode, e: ErasurePattern) -> GFMatrix:
     """Eliminate the identity part of H|_E, returning the (u0-1)*b x (|E|-v0) block B.
 
     One pivot cell per erased column (the least row) clears the column
     constraints; each remaining cell (i, j) with pivot (i0, j) leaves the
     row-code column h_j in row block i and -(alpha_i/alpha_i0) * h_j in row
-    block i0.  Scaling row block k by alpha_k and each cell's row of B
-    transposed by 1/alpha_i turns that into h_j and -h_j, so the rank does
-    not depend on the alphas once they are nonzero.  Every such row then has
-    zero block sum, so the last row block is minus the sum of the others and
-    is left out.  block_template holds this layout, block_rows fills it, and
-    rank(H|_E) = v0 + rank(B).
+    block i0.  Scaling row block k by alpha_k and each cell's column of B
+    by 1/alpha_i turns that into h_j and -h_j, so the rank does not depend
+    on the alphas once they are nonzero.  Every such column then has zero
+    block sum, so the last row block is minus the sum of the others and is
+    left out.  B's columns follow the non-pivot cells in column-major
+    order, and rank(H|_E) = v0 + rank(B).
     """
     t = code.topology
     if t.a != 1:
@@ -278,8 +240,16 @@ def reduce_restricted(code: TensorCode, e: ErasurePattern) -> GFMatrix:
     rows, cols = e.rows_used, e.cols_used
     if not all(code.h_col[0, i] for i in rows):
         raise ValueError("the reduction needs nonzero column-parity coefficients")
-    mask = [[int((i, j) in e.cells) for j in cols] for i in rows]
-    h_cols = [tuple(row[j] for row in code.h_row.data) for j in cols]
-    neg_cols = [tuple(map(code.spec.neg, col)) for col in h_cols]  # -h_j is h_j in GF(2^k)
-    block_t = block_rows(block_template(t.b, mask), h_cols, neg_cols, (len(rows) - 1) * t.b)
+    b, last = t.b, len(rows) - 1
+    block_t = []  # B transposed: one row per non-pivot cell
+    for j in cols:
+        hj = [row[j] for row in code.h_row.data]
+        pivot, *rest = [k for k, i in enumerate(rows) if (i, j) in e.cells]
+        neg = [code.spec.neg(x) for x in hj]  # -h_j is h_j in GF(2^k)
+        for k in rest:
+            row = [0] * (last * b)
+            if k < last:
+                row[k * b:(k + 1) * b] = hj
+            row[pivot * b:(pivot + 1) * b] = neg
+            block_t.append(row)
     return GFMatrix(code.spec, list(zip(*block_t)))

@@ -33,8 +33,8 @@ from .codes import (TensorCode, build_pseudo_parity, is_correctable_by,
 from .errors import NotMds, ResourceGuard
 from .galois import FieldSpec, discrete_log, primitive_element
 from .gfmatrix import GFMatrix, every_w_columns_independent, rank, row_inserter
-from .patterns import (ErasurePattern, Topology, enumerate_types, row_class_masks,
-                       type_orbit_masks)
+from .patterns import (ErasurePattern, Topology, enumerate_types, row_class_count,
+                       row_class_masks, type_orbit_count, type_orbit_masks)
 
 # Witness masks of the two attacks (rows x six columns).
 TYPE_II_MASK = ((1, 1, 1, 0, 0, 0),
@@ -385,14 +385,21 @@ def _sweep_plan(m: int, b: int, n: int, dedupe_rows: bool, instantiation_cap: in
     choices the masks are placed on, masks the type's row-class masks (with
     dedupe_rows) or orbit masks, both packed as row_class_masks packs them,
     and entries and walk the _sorted_walk of every mask's rows.  Raises
-    ResourceGuard before sorting any mask when the instantiations exceed
-    instantiation_cap.
+    ResourceGuard before any mask is built when the instantiations, counted
+    by row_class_count or type_orbit_count, exceed instantiation_cap.
     Every code of one shape shares the plan, so it is cached; only the last
     plan is kept, and a ResourceGuard is not cached.
     """
-    types = []
-    total = 0
-    for pt in enumerate_types(m, b, n):
+    types = enumerate_types(m, b, n)
+    if dedupe_rows:
+        total = sum(comb(n, pt.v) * row_class_count(pt) for pt in types)
+    else:
+        total = sum(comb(m, pt.u) * comb(n, pt.v) * type_orbit_count(pt) for pt in types)
+    if total > instantiation_cap:
+        unit = "classes" if dedupe_rows else "instantiations"
+        raise ResourceGuard(f"{total} pattern {unit} exceed cap {instantiation_cap}")
+    plan = []
+    for pt in types:
         if dedupe_rows:
             row_choices = (range(pt.u),)
             masks = row_class_masks(pt)
@@ -401,13 +408,6 @@ def _sweep_plan(m: int, b: int, n: int, dedupe_rows: bool, instantiation_cap: in
             orbit = type_orbit_masks(pt)
             packed = {row: int("".join(map(str, row)), 2) for row in set(chain.from_iterable(orbit))}
             masks = [tuple(map(packed.__getitem__, mask)) for mask in orbit]
-        types.append((pt, row_choices, masks))
-        total += len(row_choices) * comb(n, pt.v) * len(masks)
-    if total > instantiation_cap:
-        unit = "classes" if dedupe_rows else "instantiations"
-        raise ResourceGuard(f"{total} pattern {unit} exceed cap {instantiation_cap}")
-    plan = []
-    for pt, row_choices, masks in types:
         entries, walk = _sorted_walk(b, pt.v, masks)
         plan.append((pt, row_choices, tuple(masks), tuple(entries), tuple(walk)))
     return tuple(plan)

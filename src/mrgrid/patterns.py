@@ -8,18 +8,21 @@ top-down bit strings, so canonicalization costs u! column sorts instead
 of a u!*v! sweep.
 
 A type's embeddings come from the distinct arrangements of its column
-multiset (at most v!).  row_class_masks keeps one arrangement per
-row-relabelling class, the least under the row permutations that map the
-column multiset to itself, and returns it with its rows sorted and packed
-as v-bit ints; type_orbit_masks applies the u! row permutations to each
-arrangement to get every mask of the orbit.
+multiset (at most v!), found by one prefix-tree walk (_arrangements).
+_row_symmetry finds the group G of row permutations that map the column
+multiset to itself.  row_class_masks walks with G's cuts, which keep one
+arrangement per row-relabelling class, the least, and returns it with its
+rows sorted and packed as v-bit ints; type_orbit_masks applies the u! row
+permutations to every arrangement of the uncut walk to get every mask of
+the orbit.  row_class_count and type_orbit_count give their lengths from
+G and the arrangement count alone, before any mask is built.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, chain, combinations, permutations
 from math import comb, factorial
 
 from .errors import EmptyPattern, ResourceGuard
@@ -189,7 +192,8 @@ def canonical_type(e: ErasurePattern) -> PatternType:
     cpos = {j: k for k, j in enumerate(cols_used)}
     u, v = len(rows_used), len(cols_used)
     if factorial(u) * v > CANONICAL_GUARD:
-        raise ResourceGuard("canonicalization guard exceeded")
+        raise ResourceGuard(f"canonicalization guard exceeded: u!*v = {factorial(u) * v} "
+                            f"column sorts, guard {CANONICAL_GUARD}")
     # columns as top-down bit tuples of the support mask
     cols = [[0] * u for _ in range(v)]
     for i, j in e.cells:
@@ -364,75 +368,58 @@ def enumerate_types(m: int, b: int, max_v: int | None = None) -> list[PatternTyp
             for u, v, key in sorted(found)]
 
 
-def _column_arrangements(pt: PatternType):
-    """Every distinct ordering of pt's columns, each a tuple of top-down bit tuples.
-
-    Steps through the orderings in lexicographic order; the next-permutation
-    step never swaps equal columns, so columns of multiplicities k_1..k_r give
-    v!/(k_1!...k_r!) orderings, each once.
+def _row_symmetry(pt: PatternType) -> tuple:
+    """(kinds, left, arrangements, group, order): pt's distinct columns in
+    lexicographic order, their multiplicities and the number of distinct
+    column orderings; then the group G of row permutations that map the
+    column multiset to itself, as the permutations of the indices in kinds
+    that it makes (less the identity), and its size.  Raises ResourceGuard
+    when the arrangements, then u!, exceed ENUMERATION_GUARD.
     """
-    cols = sorted(zip(*pt.mask))
-    last = len(cols) - 1
-    while True:
-        yield tuple(cols)
-        i = last - 1
-        while i >= 0 and cols[i] >= cols[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = last
-        while cols[j] <= cols[i]:
-            j -= 1
-        cols[i], cols[j] = cols[j], cols[i]
-        cols[i + 1:] = reversed(cols[i + 1:])
-
-
-def row_class_masks(pt: PatternType) -> list[tuple]:
-    """One mask per row-relabelling class of pt's orbit, packed: the mask's
-    rows sorted, each row a v-bit int with column 0 the most significant bit.
-
-    Unpacked, equals sorted({tuple(sorted(mask)) for mask in
-    type_orbit_masks(pt)}); int order is 0/1-tuple order, so the order is
-    the same.  Two column arrangements give one class exactly when a row
-    permutation maps one to the other, and such a permutation maps the
-    column multiset to itself: it lies in the group G of those, found among
-    the u! row permutations (a second guard bounds u!).  The arrangements
-    are walked as a prefix tree in lexicographic column order, with the
-    permutations of G that tie the prefix so far (map it to itself); a
-    branch is cut as soon as one of them maps the prefix to a smaller one.
-    So each G-orbit, one class, reaches exactly one leaf: its least
-    arrangement.  The rows grow as fields of one int, one bit per column.
-    """
-    u, v = pt.u, pt.v
     counts = Counter(zip(*pt.mask))
-    arrangements = factorial(v)
-    for k in counts.values():
+    kinds = sorted(counts)
+    left = [counts[col] for col in kinds]
+    arrangements = factorial(pt.v)
+    for k in left:
         arrangements //= factorial(k)
     if arrangements > ENUMERATION_GUARD:
         raise ResourceGuard(
             f"{arrangements} column arrangements exceed guard {ENUMERATION_GUARD}")
-    if factorial(u) > ENUMERATION_GUARD:
-        raise ResourceGuard(f"{factorial(u)} row permutations exceed guard {ENUMERATION_GUARD}")
-    kinds = sorted(counts)  # the distinct columns, in lexicographic order
+    if factorial(pt.u) > ENUMERATION_GUARD:
+        raise ResourceGuard(f"{factorial(pt.u)} row permutations exceed guard {ENUMERATION_GUARD}")
     index = {col: c for c, col in enumerate(kinds)}
-    # G as permutations of the indices in kinds, less those that fix every
-    # column (the identity among them): they never cut
-    identity = tuple(range(len(kinds)))
+    rows = list(zip(*kinds))
     group = set()
-    for p in permutations(range(u)):
-        image = [tuple(col[i] for i in p) for col in kinds]
-        if {col: counts[old] for col, old in zip(image, kinds)} == counts:
-            group.add(tuple(index[col] for col in image))
-    group.discard(identity)
-    left = [counts[col] for col in kinds]
+    order = 0
+    for p in permutations(range(pt.u)):
+        # the images are distinct, so p maps the multiset to itself when each
+        # has its preimage's multiplicity (a Counter reads 0 off the multiset)
+        image = list(zip(*map(rows.__getitem__, p)))
+        if list(map(counts.__getitem__, image)) == left:
+            order += 1
+            group.add(tuple(map(index.__getitem__, image)))
+    group.discard(tuple(range(len(kinds))))
+    return kinds, left, arrangements, group, order
+
+
+def _arrangements(pt: PatternType, cut: bool) -> list[tuple]:
+    """pt's distinct column arrangements in lexicographic order, each as its
+    rows, row 0 first, each a v-bit int with column 0 the most significant
+    bit; with cut, only the least of each G-orbit (see _row_symmetry).
+
+    A prefix-tree walk that carries the members of G tying the prefix (mapping
+    it to itself); with cut, a branch ends once one maps it to a smaller one.
+    """
+    u, v = pt.u, pt.v
+    kinds, left, _, group, _ = _row_symmetry(pt)
     # a column's cells at the low bit of each row's v-bit field
     spread = [sum(1 << (i * v) for i in range(u) if col[i]) for col in kinds]
     full = (1 << v) - 1
-    masks = []
+    found = []
 
     def extend(depth, rows, tied):
         if depth == v:
-            masks.append(tuple(sorted((rows >> (i * v)) & full for i in range(u))))
+            found.append(tuple((rows >> (i * v)) & full for i in range(u)))
             return
         for c in range(len(kinds)):
             if not left[c]:
@@ -448,24 +435,58 @@ def row_class_masks(pt: PatternType) -> list[tuple]:
                 extend(depth + 1, rows << 1 | spread[c], still)
                 left[c] += 1
 
-    extend(0, 0, list(group))
-    masks.sort()
-    return masks
+    extend(0, 0, list(group) if cut else [])
+    return found
+
+
+def row_class_count(pt: PatternType) -> int:
+    """len(row_class_masks(pt)), with its guards, from G alone: G permutes
+    the kinds freely on the arrangements (a permutation that fixes one fixes
+    each of its columns), so each class holds len(group) + 1 of them."""
+    _, _, arrangements, group, _ = _row_symmetry(pt)
+    return arrangements // (len(group) + 1)
+
+
+def row_class_masks(pt: PatternType) -> list[tuple]:
+    """One mask per row-relabelling class of pt's orbit, packed: the mask's
+    rows sorted, each row a v-bit int with column 0 the most significant bit.
+
+    Unpacked, equals sorted({tuple(sorted(mask)) for mask in
+    type_orbit_masks(pt)}); int order is 0/1-tuple order, so the order is
+    the same.  A row permutation that maps one column arrangement to
+    another maps the column multiset to itself, so it lies in G, and the
+    cut walk of _arrangements reaches one leaf per class: its least
+    arrangement.
+    """
+    return sorted(tuple(sorted(rows)) for rows in _arrangements(pt, cut=True))
+
+
+def _orbit_guard(pt: PatternType):
+    size = factorial(pt.u) * factorial(pt.v)
+    if size > ENUMERATION_GUARD:
+        raise ResourceGuard(f"orbit size exceeds cap: u!*v! = {size}, guard {ENUMERATION_GUARD}")
+
+
+def type_orbit_count(pt: PatternType) -> int:
+    """len(type_orbit_masks(pt)), with its guard, from G alone: row orders
+    p, p' put arrangements A, A' on one mask exactly when p'^-1 p lies in G
+    and maps A to A', so each mask comes from |G| of the pairs."""
+    _orbit_guard(pt)
+    _, _, arrangements, _, order = _row_symmetry(pt)
+    return factorial(pt.u) * arrangements // order
 
 
 def type_orbit_masks(pt: PatternType) -> list[tuple]:
-    """All distinct masks reachable from pt by row/column permutations, sorted.
-
-    Each distinct column arrangement is taken under every row permutation,
+    """All distinct masks reachable from pt by row/column permutations, sorted:
+    every row order of each arrangement of the uncut walk of _arrangements,
     so repeated columns are not permuted among themselves.
     """
-    u, v = pt.u, pt.v
-    if factorial(u) * factorial(v) > ENUMERATION_GUARD:
-        raise ResourceGuard("orbit size exceeds cap")
-    rperms = list(permutations(range(u)))
+    _orbit_guard(pt)
+    v = pt.v
+    rperms = list(permutations(range(pt.u)))
     seen = set()
-    for cols in _column_arrangements(pt):
-        rows = list(zip(*cols))
-        seen.update(tuple(rows[p] for p in rperm) for rperm in rperms)
-    return sorted(seen)
-
+    for rows in _arrangements(pt, cut=False):
+        seen.update(tuple(map(rows.__getitem__, p)) for p in rperms)
+    bits = {row: tuple(row >> (v - 1 - j) & 1 for j in range(v))
+            for row in set(chain.from_iterable(seen))}
+    return [tuple(map(bits.__getitem__, mask)) for mask in sorted(seen)]

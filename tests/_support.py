@@ -7,8 +7,7 @@ from itertools import accumulate, chain, combinations, combinations_with_replace
 from mrgrid import ErasurePattern, GFMatrix, TensorCode, Topology, search_mr
 # the field-order sweeps of the tests are the ones the CLI search uses
 from mrgrid.galois import prime_powers_upto, spec_for_order
-from mrgrid.patterns import (_column_arrangements, canonical_type, enumerate_types, is_regular,
-                             type_orbit_masks)
+from mrgrid.patterns import canonical_type, enumerate_types, is_regular, type_orbit_masks
 
 
 def _is_prime(n):
@@ -204,9 +203,9 @@ def unpack_mask(mask, v):
 
 
 def brute_row_class_masks(pt):
-    """row_class_masks by set-dedupe: every distinct column arrangement of
-    pt with its rows sorted, as 0/1 row tuples."""
-    return sorted({tuple(sorted(zip(*cols))) for cols in _column_arrangements(pt)})
+    """row_class_masks by set-dedupe: every ordering of pt's columns with
+    its rows sorted, as 0/1 row tuples."""
+    return sorted({tuple(sorted(zip(*cols))) for cols in permutations(zip(*pt.mask))})
 
 
 def tuple_sweep_plan(m, b, n, dedupe_rows=True):

@@ -11,7 +11,6 @@ from mrgrid import (ErasurePattern, FieldSpec, GFMatrix,
                     is_correctable_by, is_irreducible, is_regular, primitive_element,
                     rank, reduce_restricted, search_mr)
 from mrgrid.bounds import q_below_t3_threshold, q_below_t4_threshold
-from mrgrid.codes import block_rows, block_template
 from mrgrid.errors import NotMds, ResourceGuard
 from mrgrid.gfmatrix import row_inserter
 from mrgrid import mr
@@ -427,6 +426,22 @@ def test_sweep_plan_does_not_cache_a_resource_guard(certified_t46):
         certify_mr(code, instantiation_cap=10)
 
 
+def test_cap_is_checked_before_any_mask_is_built(certified_t46, monkeypatch):
+    # the totals come from the mask counts alone
+    code, _, _ = certified_t46
+
+    def built(pt):
+        raise AssertionError(f"masks of {pt} built before the cap check")
+
+    monkeypatch.setattr(mr, "row_class_masks", built)
+    monkeypatch.setattr(mr, "type_orbit_masks", built)
+    mr._sweep_plan.cache_clear()
+    with pytest.raises(ResourceGuard, match="75 pattern classes exceed cap 10"):
+        certify_mr(code, instantiation_cap=10)
+    with pytest.raises(ResourceGuard, match="1800 pattern instantiations exceed cap 10"):
+        certify_mr(code, instantiation_cap=10, dedupe_rows=False)
+
+
 def test_certify_t4x13_gf16_always_fails():
     # below the (n-3)^2/4 + 2 threshold no MDS row code certifies
     rng = random.Random(3)
@@ -441,27 +456,21 @@ def test_certify_t4x13_gf16_always_fails():
 
 
 def _kernel_classes(code):
-    """(pattern, kernel verdict) for every class certify_mr checks, in its order.
+    """(pattern, reduced-block verdict) for every class certify_mr checks, in
+    its order.
 
-    The kernel verdict is full row rank of the reduced block's rows, built
-    from the class's template as certify_mr builds them: from the mask and
-    the row-code columns alone, with no column-parity coefficient.
+    The verdict is full column rank of the class's reduced block
+    (reduce_restricted), which carries no column-parity coefficient.
     """
-    t, spec = code.topology, code.spec
-    h_cols = list(zip(*code.h_row.data))
-    neg_cols = [tuple(map(spec.neg, col)) for col in h_cols]
+    t = code.topology
     for pt in enumerate_types(t.m, t.b):
         if pt.v > t.n:
             continue
-        height = (pt.u - 1) * t.b
         masks = [unpack_mask(mask, pt.v) for mask in row_class_masks(pt)]
-        templates = [(mask, block_template(t.b, mask)) for mask in masks]
         for cols in combinations(range(t.n), pt.v):
-            for mask, template in templates:
-                block_t = block_rows(template, [h_cols[j] for j in cols],
-                                     [neg_cols[j] for j in cols], height)
-                full = rank(GFMatrix(spec, block_t)) == len(template)
-                yield mask_pattern(mask, cols), full
+            for mask in masks:
+                e = mask_pattern(mask, cols)
+                yield e, rank(reduce_restricted(code, e)) == len(e.cells) - pt.v
 
 
 def _direct_report(code, embeddings):
@@ -525,14 +534,24 @@ def test_literal_sweep_matches_the_direct_rank_on_unused_grid_rows():
 
 def _symbolic_block_det(mask, b):
     """The determinant of mask's square reduced block B, with symbolic
-    row-code entries h<k><j>, from the library's own block_template and
-    block_rows run on sympy expressions; the block has no column-parity
-    coefficient to carry."""
+    row-code entries h<k><j>: each mask column j's first erased row i0 is
+    its pivot, and each other erased cell (i, j) gives B a column with h_j
+    at row block i (unless i is the last row) and -h_j at row block i0.
+    The block has no column-parity coefficient to carry."""
     sp = pytest.importorskip("sympy")
     h_cols = [tuple(sp.Symbol(f"h{k}{j}") for k in range(b)) for j in range(6)]
-    neg_cols = [tuple(-x for x in col) for col in h_cols]
-    template = block_template(b, mask)
-    block = sp.Matrix(block_rows(template, h_cols, neg_cols, (len(mask) - 1) * b))
+    height = (len(mask) - 1) * b
+    columns = []
+    for j, col in enumerate(zip(*mask)):
+        i0 = col.index(1)
+        for i in range(i0 + 1, len(mask)):
+            if col[i]:
+                entry = [0] * height
+                if i < len(mask) - 1:
+                    entry[i * b:(i + 1) * b] = h_cols[j]
+                entry[i0 * b:(i0 + 1) * b] = [-x for x in h_cols[j]]
+                columns.append(entry)
+    block = sp.Matrix(columns).T
     assert block.shape == (6, 6)
     return sp, block.det(method="berkowitz"), h_cols
 

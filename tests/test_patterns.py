@@ -1,6 +1,7 @@
 import random
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -9,7 +10,8 @@ from mrgrid import (ErasurePattern, PatternType, Topology, canonical_type,
 from mrgrid.bounds import comb_le
 from mrgrid.errors import EmptyPattern, ResourceGuard
 from mrgrid.mr import E0_MASK, TYPE_II_MASK
-from mrgrid.patterns import row_class_masks, type_orbit_masks
+from mrgrid.patterns import (row_class_count, row_class_masks, type_orbit_count,
+                             type_orbit_masks)
 from _support import (TYPE_I_MASK, brute_enumerate_types, brute_orbit_masks,
                       brute_row_class_masks, instantiate_type, mask_pattern, unpack_mask)
 
@@ -275,7 +277,7 @@ def test_topology_validation():
 
 def test_canonical_type_guard_on_huge_supports():
     cells = [(i, 0) for i in range(13)] + [(i, 1) for i in range(13)]
-    with pytest.raises(ResourceGuard):
+    with pytest.raises(ResourceGuard, match=r"u!\*v = 12454041600 column sorts, guard 100000000"):
         canonical_type(ErasurePattern.of(cells))
 
 
@@ -311,6 +313,23 @@ def test_row_class_masks_match_set_dedupe_over_arrangements(m, b):
         assert classes == brute_row_class_masks(pt), pt
 
 
+def test_mask_counts_match_the_mask_lists():
+    # the counts behind the sweep's cap check, on every type of five shapes
+    # up to eight columns; each orbit mask is a row order of one class's
+    # mask, so the orbit holds the distinct row orders of the classes' masks
+    types = [pt for m, b in ((4, 2), (3, 3), (4, 3), (3, 4), (5, 2))
+             for pt in enumerate_types(m, b, 8)]
+    assert len(types) == 33
+    for pt in types:
+        classes = row_class_masks(pt)
+        assert row_class_count(pt) == len(classes), pt
+        orders = sum(factorial(pt.u) // prod(map(factorial, Counter(mask).values()))
+                     for mask in classes)
+        assert type_orbit_count(pt) == orders, pt
+        if factorial(pt.u) * factorial(pt.v) <= 250_000:
+            assert type_orbit_count(pt) == len(type_orbit_masks(pt)), pt
+
+
 def test_row_class_masks_examples_and_guard():
     # Type II has six distinct columns: 720 arrangements, 30 row classes;
     # Type I repeats two of its columns: 6!/(2!2!) = 180 arrangements, 45 classes
@@ -329,6 +348,12 @@ def test_row_class_masks_examples_and_guard():
     wide = PatternType(4, 11, tuple(zip(*cols)))
     with pytest.raises(ResourceGuard, match="39916800 column arrangements exceed guard"):
         row_class_masks(wide)
+    with pytest.raises(ResourceGuard, match="39916800 column arrangements exceed guard"):
+        row_class_count(wide)
+    # the orbit guard bounds u! * v!, and names it
+    for orbit in (type_orbit_masks, type_orbit_count):
+        with pytest.raises(ResourceGuard, match=r"u!\*v! = 958003200, guard 10000000"):
+            orbit(wide)
     # G is sought among the u! row permutations: eleven rows are refused
     # though two equal columns have one arrangement
     tall = PatternType(11, 2, ((1, 1),) * 11)
