@@ -497,55 +497,52 @@ def certify_mr(code: TensorCode,
 _GREEDY_SHAPES = ((4, 2), (3, 3))
 
 
-def _involution_roots(spec: FieldSpec, five):
-    """The values x that put some pairing of x with the five values in involution.
-
-    Three pairs {u, u'} are in involution when D = det[1, u+u', u*u'] (one
-    row per pair) vanishes; for distinct values this is exactly "the rank
-    polynomial of either special topology vanishes under some argument
-    order", since f_t4(x) = -D({x1,x6}, {x2,x5}, {x3,x4}) and f_t3(x) =
-    (x1-x2)(x3-x4)(x5-x6) * D({x1,x2}, {x3,x4}, {x5,x6}).  With x paired to
-    a and the other pairs' sums s2, s3 and products p2, p3, D = c1*x + c0,
-    so each of the 15 pairings forbids at most one x.  c1 = c0 = 0 cannot
-    occur for distinct values: D = 0 says (t-x)(t-a) lies in the span of
-    (t-b)(t-b') and (t-c)(t-c'); for two different x that span would be
-    (t-a) times all linear polynomials, so (t-a) would divide (t-b)(t-b').
-    """
-    add, sub, mul = spec.add, spec.sub, spec.mul
-    for i, a in enumerate(five):
-        b, b2, c, c2 = five[:i] + five[i + 1:]
-        for (u, u2), (w, w2) in (((b, b2), (c, c2)), ((b, c), (b2, c2)), ((b, c2), (b2, c))):
-            s2, p2, s3, p3 = add(u, u2), mul(u, u2), add(w, w2), mul(w, w2)
-            dp = sub(p3, p2)
-            c1 = sub(mul(a, sub(s3, s2)), dp)
-            if c1:
-                c0 = sub(sub(mul(s2, p3), mul(s3, p2)), mul(a, dp))
-                yield spec.neg(spec.div(c0, c1))
-
-
 def _greedy_values(spec: FieldSpec, n: int, seed: int) -> list | None:
     """The first n field values of the scan with no six in involution, or None.
 
     The scan runs over the field in increasing value (seed permutes it) and
-    accepts a value unless some pairing of it with five accepted values puts
-    three pairs in involution (see _involution_roots).  Instead of testing
-    each candidate, every accepted value adds the roots of its new 5-subsets
-    to a forbidden set, which the scan skips.
+    rejects x if x is the image of an accepted value under the involution
+    that swaps two disjoint accepted pairs.  Three pairs {u, u'} are in
+    involution when D = det[1, u+u', u*u'] (one row per pair) vanishes; for
+    distinct values this is exactly "the rank polynomial of either special
+    topology vanishes under some argument order", since f_t4(x) =
+    -D({x1,x6}, {x2,x5}, {x3,x4}) and f_t3(x) = (x1-x2)(x3-x4)(x5-x6) *
+    D({x1,x2}, {x3,x4}, {x5,x6}).  Two pairs with sums s, s' and products p, p'
+    give A = s'-s, B = p'-p and C = s*p'-s'*p, and D({x, a}, ...) = 0 says
+    x = (a*B - C) / (a*A - B); for distinct values the two never both vanish
+    (the pairs' (t-u)(t-u') would span (t-a) times the linear polynomials),
+    and a*A = B forbids nothing.  So a value accepted after k earlier ones,
+    4 <= k < n-1, forbids its image under every stored involution and, for
+    each new pair {x, y} and stored pair disjoint from y, the images of the
+    other accepted values: the 15 * C(k, 4) roots of its new 5-subsets.
     """
+    add, sub, mul, div = spec.add, spec.sub, spec.mul, spec.div
     order = list(spec.elements())
     if seed:
         random.Random(seed).shuffle(order)
-    accepted = []
-    forbidden = set()
+    accepted, pairs, involutions, forbidden = [], [], [], set()
     for x in order:
         if len(accepted) >= n:
             break
         if x in forbidden:
             continue
-        # the new 5-subsets are x and four earlier values; the n-th value ends the scan
-        if 4 <= len(accepted) < n - 1:
-            for four in combinations(accepted, 4):
-                forbidden.update(_involution_roots(spec, (x,) + four))
+        # pairs (u, u', s, p) and involutions (A, B, C), kept while later values use them
+        forbid, keep = 4 <= len(accepted) < n - 1, len(accepted) < n - 2
+        for A, B, C in involutions if forbid else ():
+            if den := sub(mul(x, A), B):
+                forbidden.add(div(sub(mul(x, B), C), den))
+        new_pairs = [(x, y, add(x, y), mul(x, y)) for y in accepted] if forbid or keep else []
+        for _, y, s, p in new_pairs:
+            for u, u2, s2, p2 in pairs:
+                if y != u and y != u2:
+                    A, B, C = sub(s2, s), sub(p2, p), sub(mul(s, p2), mul(s2, p))
+                    if keep:
+                        involutions.append((A, B, C))
+                    for a in accepted if forbid else ():
+                        if a != y and a != u and a != u2 and (den := sub(mul(a, A), B)):
+                            forbidden.add(div(sub(mul(a, B), C), den))
+        if keep:
+            pairs += new_pairs
         accepted.append(x)
     return accepted if len(accepted) >= n else None
 
@@ -562,11 +559,10 @@ def search_mr(m: int, b: int, n: int, spec: FieldSpec,
     """Search one field for a certified MR row code; None means try a larger q.
 
     greedy_indep scans field elements in increasing value (seed permutes the
-    scan) and rejects a value x if some pairing of x with five accepted
-    values puts three pairs in involution, which for six distinct values is
-    exactly "the topology's rank polynomial vanishes under some argument
-    order"; the rule is the same for (4, 2) and (3, 3), so both accept the
-    same values.  The resulting Vandermonde-style candidate is gated by
+    scan) and rejects a value x if x is the image of an accepted value under
+    the involution that swaps two disjoint accepted pairs (see _greedy_values);
+    the rule is the same for (4, 2) and (3, 3), so both accept the same
+    values.  The resulting Vandermonde-style candidate is gated by
     certify_mr.  random draws h_row uniformly and gates each draw the same way.
     """
     topo = Topology(m, n, 1, b)

@@ -213,11 +213,12 @@ def _search_nodes(u: int, b: int, max_v: int | None = None) -> int:
     above ENUMERATION_GUARD.
 
     The unpruned search is enumerate_types' grow without its row-count
-    bound, so this count is an upper bound on the nodes enumerate_types
-    visits.  For each v it visits the root and every multiset of k >= 1
-    column types (comb(u, r) types of weight r, 2 <= r <= u) whose weight w
-    satisfies w + 2(v - k) <= 2b(u - 1).  Every column weighs at least 2, so
-    a multiset meeting the bound has every sub-multiset on its search path
+    bound and with the weight cap 2b(u - 1) >= b(u - 1) + v, so this count
+    is an upper bound on the nodes enumerate_types visits.  For each v it
+    visits the root and every multiset of k >= 1 column types (comb(u, r)
+    types of weight r, 2 <= r <= u) whose weight w satisfies
+    w + 2(v - k) <= 2b(u - 1).  Every column weighs at least 2, so a
+    multiset meeting the bound has every sub-multiset on its search path
     meeting it too.  At v = vmin the weight-2 multisets alone number
     comb(comb(u, 2) + vmin, vmin) with the root; when that bound already
     exceeds the guard it is returned, which keeps the table below small.
@@ -275,12 +276,15 @@ def enumerate_types(m: int, b: int, max_v: int | None = None) -> list[PatternTyp
     Types are n-independent: a type with v columns embeds in any grid with
     n >= v, so the enumeration ranges only over u <= m and the feasibility
     window u + b <= v <= b(u - 1), with column sums >= 2, row sums >= b + 1
-    and at most 2b(u - 1) cells in total (forced by regularity on the full
-    support together with irreducibility).  The column search keeps the row
-    counts as it grows and stops a branch once the lightest row cannot reach
-    b + 1 with the columns left.  Every row order of a column multiset is a
-    leaf of the search, and regularity and canonical_type do not depend on
-    the row order, so only leaves with non-increasing row counts are tested.
+    and at most b(u - 1) + v <= 2b(u - 1) cells in total (regularity on the
+    full row set: the cells past the first of each column number at most
+    b(u - 1)).  The column search keeps the row counts as it grows and stops
+    a branch once the lightest row cannot reach b + 1 with the columns left
+    or the weight cap with the lightest columns left; the column types are
+    ordered by weight, so a column that overruns the cap ends its loop.
+    Every row order of a column multiset is a leaf of the search, and
+    regularity and canonical_type do not depend on the row order, so only
+    leaves with non-increasing row counts are tested.
     A leaf's columns are u-bit masks, row 0 the most significant bit; it is
     tested by _is_regular_leaf and canonicalized as canonical_type does,
     through one column table per row permutation, with each candidate mask
@@ -311,7 +315,6 @@ def enumerate_types(m: int, b: int, max_v: int | None = None) -> list[PatternTyp
         col_rows = [s for r in range(2, u + 1) for s in combinations(range(u), r)]
         col_bits = [sum(1 << (u - 1 - i) for i in s) for s in col_rows]
         weights = [len(s) for s in col_rows]
-        total_cap = 2 * b * (u - 1)
         tables = _excess_tables(u, b)
         # a column under a row permutation p: new row k is old row p[k]
         permuted = [[sum(1 << (u - 1 - k) for k, i in enumerate(p) if c >> (u - 1 - i) & 1)
@@ -321,6 +324,7 @@ def enumerate_types(m: int, b: int, max_v: int | None = None) -> list[PatternTyp
             # field, row 0 the most significant field
             spread = [sum(1 << ((u - 1 - k) * v) for k in range(u) if c >> (u - 1 - k) & 1)
                       for c in range(1 << u)]
+            total_cap = b * (u - 1) + v
             chosen = []
             row_counts = [0] * u
 
@@ -348,12 +352,10 @@ def enumerate_types(m: int, b: int, max_v: int | None = None) -> list[PatternTyp
                 if remaining == 0:
                     emit()
                     return
-                if weight + 2 * remaining > total_cap:
-                    return
                 for c in range(start, len(col_rows)):
                     w = weights[c]
                     if weight + w + 2 * (remaining - 1) > total_cap:
-                        continue
+                        break
                     chosen.append(c)
                     for i in col_rows[c]:
                         row_counts[i] += 1

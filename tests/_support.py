@@ -342,6 +342,54 @@ def brute_greedy_values(spec, kind, n, seed):
     return accepted if len(accepted) >= n else None
 
 
+def involution_roots(spec, five):
+    """The values x that put some pairing of x with the five values in involution.
+
+    Three pairs {u, u'} are in involution when D = det[1, u+u', u*u'] (one
+    row per pair) vanishes; for distinct values this is exactly "the rank
+    polynomial of either special topology vanishes under some argument
+    order", since f_t4(x) = -D({x1,x6}, {x2,x5}, {x3,x4}) and f_t3(x) =
+    (x1-x2)(x3-x4)(x5-x6) * D({x1,x2}, {x3,x4}, {x5,x6}).  With x paired to
+    a and the other pairs' sums s2, s3 and products p2, p3, D = c1*x + c0,
+    so each of the 15 pairings forbids at most one x.  c1 = c0 = 0 cannot
+    occur for distinct values: D = 0 says (t-x)(t-a) lies in the span of
+    (t-b)(t-b') and (t-c)(t-c'); for two different x that span would be
+    (t-a) times all linear polynomials, so (t-a) would divide (t-b)(t-b').
+    """
+    add, sub, mul = spec.add, spec.sub, spec.mul
+    for i, a in enumerate(five):
+        b, b2, c, c2 = five[:i] + five[i + 1:]
+        for (u, u2), (w, w2) in (((b, b2), (c, c2)), ((b, c), (b2, c2)), ((b, c2), (b2, c))):
+            s2, p2, s3, p3 = add(u, u2), mul(u, u2), add(w, w2), mul(w, w2)
+            dp = sub(p3, p2)
+            c1 = sub(mul(a, sub(s3, s2)), dp)
+            if c1:
+                c0 = sub(sub(mul(s2, p3), mul(s3, p2)), mul(a, dp))
+                yield spec.neg(spec.div(c0, c1))
+
+
+def five_subset_greedy_values(spec, n, seed):
+    """The greedy scan by 5-subsets: every accepted value adds the
+    involution_roots of its new 5-subsets to a forbidden set, which the scan
+    skips.  It shares no pair, sum, product or involution between subsets."""
+    order = list(spec.elements())
+    if seed:
+        random.Random(seed).shuffle(order)
+    accepted = []
+    forbidden = set()
+    for x in order:
+        if len(accepted) >= n:
+            break
+        if x in forbidden:
+            continue
+        # the new 5-subsets are x and four earlier values; the n-th value ends the scan
+        if 4 <= len(accepted) < n - 1:
+            for four in combinations(accepted, 4):
+                forbidden.update(involution_roots(spec, (x,) + four))
+        accepted.append(x)
+    return accepted if len(accepted) >= n else None
+
+
 def is_two_sidon(subset, modulus: int) -> bool:
     """Definition check: every pair sum shared by at most one other pair."""
     counts: dict[int, int] = {}

@@ -19,7 +19,8 @@ from mrgrid.mr import (E0_MASK, TYPE_II_MASK, _disjoint_edges, _greedy_values, _
 from mrgrid.patterns import (canonical_type, enumerate_types, row_class_masks,
                              type_orbit_masks)
 from _support import (TYPE_I_MASK, brute_echelon, brute_greedy_values, f_t3, f_t4,
-                      first_certified, is_two_sidon, leibniz_determinant, mask_pattern,
+                      first_certified, five_subset_greedy_values, is_two_sidon,
+                      leibniz_determinant, mask_pattern, prime_powers_upto,
                       random_mds_rows, random_nonzero_row, simple_code, spec_for_order,
                       tuple_sweep_plan, unpack_mask, zero_under_some_permutation)
 
@@ -529,7 +530,7 @@ def test_literal_sweep_matches_the_direct_rank_on_unused_grid_rows():
 
 
 # ----------------------------------------------------------------------
-# the Type II and E0 minors (behind attack_t4, attack_t3 and _involution_roots)
+# the Type II and E0 minors (behind attack_t4, attack_t3 and _greedy_values)
 # ----------------------------------------------------------------------
 
 def _symbolic_block_det(mask, b):
@@ -801,6 +802,62 @@ def test_greedy_values_match_the_720_order_oracle(q):
             values = _greedy_values(s, n, seed)
             for kind in ("t4_12", "t3_13"):
                 assert values == brute_greedy_values(s, kind, n, seed), (kind, n, seed)
+
+
+def test_greedy_values_match_the_five_subset_oracle():
+    for q in prime_powers_upto(2, 128):
+        s = spec_for_order(q)
+        for n in range(6, 11):
+            for seed in {0, 1, q, 12345}:
+                assert _greedy_values(s, n, seed) == five_subset_greedy_values(s, n, seed), \
+                    (q, n, seed)
+
+
+def _involution_scan(spec, n, seed, own_images=True, pair_images=True):
+    """mr._greedy_values with either half of its forbidden set left out: the
+    images of each new value under the stored involutions (own_images), or
+    the images of the other accepted values under each new pair's
+    involutions (pair_images)."""
+    add, sub, mul, div = spec.add, spec.sub, spec.mul, spec.div
+    order = list(spec.elements())
+    if seed:
+        random.Random(seed).shuffle(order)
+    accepted, pairs, involutions, forbidden = [], [], [], set()
+    for x in order:
+        if len(accepted) >= n:
+            break
+        if x in forbidden:
+            continue
+        forbid, keep = 4 <= len(accepted) < n - 1, len(accepted) < n - 2
+        for A, B, C in involutions if forbid and own_images else ():
+            if den := sub(mul(x, A), B):
+                forbidden.add(div(sub(mul(x, B), C), den))
+        new_pairs = [(x, y, add(x, y), mul(x, y)) for y in accepted]
+        for _, y, s, p in new_pairs:
+            for u, u2, s2, p2 in pairs:
+                if y != u and y != u2:
+                    A, B, C = sub(s2, s), sub(p2, p), sub(mul(s, p2), mul(s2, p))
+                    if keep:
+                        involutions.append((A, B, C))
+                    for a in accepted if forbid and pair_images else ():
+                        if a != y and a != u and a != u2 and (den := sub(mul(a, A), B)):
+                            forbidden.add(div(sub(mul(a, B), C), den))
+        if keep:
+            pairs += new_pairs
+        accepted.append(x)
+    return accepted if len(accepted) >= n else None
+
+
+@pytest.mark.parametrize("halves", [(False, True), (True, False)])
+def test_involution_scan_needs_both_halves(halves):
+    # the local copy with both halves is the library's scan; with either half
+    # left out it accepts a value the 5-subset oracle forbids
+    cases = [(spec_for_order(q), n, seed) for q in (31, 32, 61, 64, 79, 128)
+             for n in (7, 8) for seed in (0, 1)]
+    assert all(_involution_scan(s, n, seed) == _greedy_values(s, n, seed)
+               for s, n, seed in cases)
+    assert any(_involution_scan(s, n, seed, *halves) != five_subset_greedy_values(s, n, seed)
+               for s, n, seed in cases)
 
 
 def test_search_q_found_clears_the_paper_thresholds():

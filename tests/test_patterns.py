@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, prod
@@ -182,6 +183,32 @@ def test_search_node_count_matches_the_recursion(u, b):
     assert counts == [_grow_calls(u, b, max_v) for max_v in range(b * (u - 1) + 2)]
     assert counts[:u + b] == [0] * (u + b) and counts[-1] == counts[-2] == _grow_calls(u, b)
     assert counts == sorted(counts)
+
+
+def _enumeration_grow_calls(m, b, max_v):
+    """The calls of enumerate_types' own grow, counted by a profile hook."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        calls += (event == "call" and code.co_name == "grow"
+                  and code.co_filename == patterns.__file__)
+
+    sys.setprofile(count)
+    try:
+        enumerate_types(m, b, max_v)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("m,b,max_v", [(4, 2, None), (3, 3, None), (3, 4, 9), (4, 3, 7),
+                                       (4, 3, 8), (5, 2, 7)])
+def test_search_node_count_bounds_the_pruned_search(m, b, max_v):
+    # the guard's count stays an upper bound on the nodes grow visits
+    nodes = sum(patterns._search_nodes(u, b, max_v) for u in range(1, m + 1))
+    assert 0 < _enumeration_grow_calls(m, b, max_v) <= nodes
 
 
 @pytest.mark.parametrize("m,b", [(4, 2), (3, 3), (4, 3), (3, 4), (5, 2)])
