@@ -25,16 +25,15 @@ from math import comb
 
 # perfbench/tracing.py (SPAN_POINTS) wraps build_pseudo_parity,
 # is_correctable_by, rank, every_w_columns_independent, enumerate_types,
-# type_orbit_masks, discrete_log and primitive_element at mrgrid.mr, so all of
-# them stay imported here; build_pseudo_parity, is_correctable_by and rank
-# are imported only for that and are not called in this module.
+# type_orbit_masks, discrete_log and primitive_element at mrgrid.mr, so all
+# stay imported here; the first three and type_orbit_masks are not called here.
 from .codes import (TensorCode, build_pseudo_parity, is_correctable_by,
                     restricted_rank)
 from .errors import NotMds, ResourceGuard
 from .galois import FieldSpec, discrete_log, primitive_element
 from .gfmatrix import GFMatrix, every_w_columns_independent, rank, row_inserter
-from .patterns import (ErasurePattern, Topology, enumerate_types, row_class_count,
-                       row_class_masks, type_orbit_count, type_orbit_masks)
+from .patterns import (ErasurePattern, Topology, _packed_orbit_masks, enumerate_types,
+                       row_class_count, row_class_masks, type_orbit_count, type_orbit_masks)
 
 # Witness masks of the two attacks (rows x six columns).
 TYPE_II_MASK = ((1, 1, 1, 0, 0, 0),
@@ -405,9 +404,7 @@ def _sweep_plan(m: int, b: int, n: int, dedupe_rows: bool, instantiation_cap: in
             masks = row_class_masks(pt)
         else:
             row_choices = tuple(combinations(range(m), pt.u))
-            orbit = type_orbit_masks(pt)
-            packed = {row: int("".join(map(str, row)), 2) for row in set(chain.from_iterable(orbit))}
-            masks = [tuple(map(packed.__getitem__, mask)) for mask in orbit]
+            masks = _packed_orbit_masks(pt)
         entries, walk = _sorted_walk(b, pt.v, masks)
         plan.append((pt, row_choices, tuple(masks), tuple(entries), tuple(walk)))
     return tuple(plan)
@@ -438,9 +435,10 @@ def certify_mr(code: TensorCode,
     They depend on the row supports alone, so the grid rows' order and the
     alphas drop out.  Every type is irreducible, so the sweep skips that
     test.  The types that fit in n columns, their masks and sorted walks
-    depend on the shape alone and come from _sweep_plan, built after the
-    MDS check and once per shape; the null vectors depend on the support's
-    columns in the grid alone and are built once per call.
+    depend on the shape alone and come from _sweep_plan, built once per
+    shape and first, so its guards refuse a shape over the cap before the
+    MDS check; the null vectors depend on the support's columns in the grid
+    alone and are built once per call.
 
     Row order does not change a rank, so the masks of one type are checked
     together on each column subset, in one pass: _sorted_walk sorts each
@@ -456,11 +454,11 @@ def certify_mr(code: TensorCode,
     t = code.topology
     if t.a != 1:
         raise ValueError("certification covers T_{m x n}(1, b, 0) topologies")
+    plan = _sweep_plan(t.m, t.b, t.n, dedupe_rows, instantiation_cap)
     if not every_w_columns_independent(code.h_row, t.b):
         return CertReport("failed_mds", None, None, 0)
     if any(code.h_col[0, i] == 0 for i in range(t.m)):
         return CertReport("failed_mds", None, None, 0)
-    plan = _sweep_plan(t.m, t.b, t.n, dedupe_rows, instantiation_cap)
     b = t.b
     insert = row_inserter(code.spec)
     h_cols = list(zip(*code.h_row.data))

@@ -12,10 +12,11 @@ multiset (at most v!), found by one prefix-tree walk (_arrangements).
 _row_symmetry finds the group G of row permutations that map the column
 multiset to itself.  row_class_masks walks with G's cuts, which keep one
 arrangement per row-relabelling class, the least, and returns it with its
-rows sorted and packed as v-bit ints; type_orbit_masks applies the u! row
-permutations to every arrangement of the uncut walk to get every mask of
-the orbit.  row_class_count and type_orbit_count give their lengths from
-G and the arrangement count alone, before any mask is built.
+rows sorted and packed as v-bit ints; _packed_orbit_masks applies the u!
+row permutations to every arrangement of the uncut walk to get every mask
+of the orbit, which type_orbit_masks unpacks to 0/1 tuples.
+row_class_count and type_orbit_count give their lengths from G and the
+arrangement count alone, before any mask is built.
 """
 
 from __future__ import annotations
@@ -129,6 +130,20 @@ def is_irreducible(t: Topology, e: ErasurePattern) -> bool:
             and all(r >= t.b + 1 for r in row_count.values()))
 
 
+def _regular_columns(cols, u: int, a: int, b: int) -> bool:
+    """is_regular's fast test on the pattern whose columns are the u-bit row
+    masks cols (with a = 1, enumerate_types' leaf test): for each row subset
+    U of more than a rows (fewer break nothing), the erasures past the first
+    a in each column sum to at most b(|U| - a)."""
+    over = [max(s - a, 0) for s in range(u + 1)]
+    for U in range(1, 1 << u):
+        r = U.bit_count()
+        sizes = map(int.bit_count, map(U.__and__, cols))
+        if r > a and sum(map(over.__getitem__, sizes)) > b * (r - a):
+            return False
+    return True
+
+
 def is_regular(t: Topology, e: ErasurePattern, mode: str = "fast") -> bool:
     """Whether |E ∩ (U x V)| <= |V|a + |U|b - ab for all U, V with |U| >= a, |V| >= b.
 
@@ -146,18 +161,11 @@ def is_regular(t: Topology, e: ErasurePattern, mode: str = "fast") -> bool:
     by_col = {j: 0 for j in cols_used}
 
     if mode == "fast":
-        for r in range(max(a, 1), len(rows_used) + 1):
-            for U in combinations(rows_used, r):
-                uset = set(U)
-                for j in by_col:
-                    by_col[j] = 0
-                for i, j in e.cells:
-                    if i in uset:
-                        by_col[j] += 1
-                excess = sum(c - a for c in by_col.values() if c > a)
-                if excess > b * (r - a):
-                    return False
-        return True
+        # each column as the row mask of its erasures, bit k for rows_used[k]
+        bits = {i: 1 << k for k, i in enumerate(rows_used)}
+        for i, j in e.cells:
+            by_col[j] |= bits[i]
+        return _regular_columns(list(by_col.values()), len(rows_used), a, b)
 
     # every V as a bitmask over cols_used; a V with fewer than max(b, 1)
     # columns gets a bound no erasure count can exceed
@@ -213,17 +221,16 @@ def _search_nodes(u: int, b: int, max_v: int | None = None) -> int:
     above ENUMERATION_GUARD.
 
     The unpruned search is enumerate_types' grow without its row-count
-    bound and with the weight cap 2b(u - 1) >= b(u - 1) + v, so this count
-    is an upper bound on the nodes enumerate_types visits.  For each v it
-    visits the root and every multiset of k >= 1 column types (comb(u, r)
-    types of weight r, 2 <= r <= u) whose weight w satisfies
-    w + 2(v - k) <= 2b(u - 1).  Every column weighs at least 2, so a
-    multiset meeting the bound has every sub-multiset on its search path
-    meeting it too.  At v = vmin the weight-2 multisets alone number
-    comb(comb(u, 2) + vmin, vmin) with the root; when that bound already
-    exceeds the guard it is returned, which keeps the table below small.
-    Otherwise count[k][w] counts the multisets of k columns and weight w,
-    built one weight class at a time.
+    bound, so this count is an upper bound on the nodes enumerate_types
+    visits.  For each v it visits the root and every multiset of k >= 1
+    column types (comb(u, r) types of weight r, 2 <= r <= u) whose weight w
+    satisfies grow's cap w + 2(v - k) <= b(u - 1) + v.  Every column weighs
+    at least 2, so a multiset meeting the bound has every sub-multiset on
+    its search path meeting it too.  At v = vmin the weight-2 multisets
+    alone number comb(comb(u, 2) + vmin, vmin) with the root; when that
+    bound already exceeds the guard it is returned, which keeps the table
+    below small.  Otherwise count[k][w] counts the multisets of k columns
+    and weight w, built one weight class at a time.
     """
     vmin, vmax = u + b, b * (u - 1)
     if max_v is not None:
@@ -233,7 +240,7 @@ def _search_nodes(u: int, b: int, max_v: int | None = None) -> int:
     least = comb(comb(u, 2) + vmin, vmin)
     if least > ENUMERATION_GUARD:
         return least
-    cap = 2 * b * (u - 1)
+    cap = b * (u - 1) + vmax
     count = [[0] * (cap + 1) for _ in range(vmax + 1)]
     count[0][0] = 1
     for r in range(2, u + 1):
@@ -248,25 +255,8 @@ def _search_nodes(u: int, b: int, max_v: int | None = None) -> int:
                     grown[k + t][w + r * t] += x * comb(kinds + t - 1, t)
         count = grown
     within = [list(accumulate(row)) for row in count]  # within[k][w]: weight <= w
-    return sum(1 + sum(within[k][cap - 2 * (v - k)] for k in range(1, v + 1))
+    return sum(1 + sum(within[k][b * (u - 1) + v - 2 * (v - k)] for k in range(1, v + 1))
                for v in range(vmin, vmax + 1))
-
-
-def _excess_tables(u: int, b: int) -> list:
-    """_is_regular_leaf's tables for u-row patterns of T(1, b, 0): for each
-    row subset U of at least two rows (as a u-bit mask), the bound b(|U| - 1)
-    and every column's excess max(|c ∩ U| - 1, 0), indexed by the column's
-    u-bit mask c.  Subsets of one row have excess and bound 0."""
-    columns = range(1 << u)
-    return [(b * (size - 1), [max((c & U).bit_count() - 1, 0) for c in columns])
-            for U in range(1, 1 << u) if (size := U.bit_count()) >= 2]
-
-
-def _is_regular_leaf(cols, tables) -> bool:
-    """is_regular(mode="fast") for a = 1 on the pattern whose columns are the
-    u-bit row masks cols, every row of it erased: for each row subset U the
-    erasures past the first in each column sum to at most b(|U| - 1)."""
-    return all(sum(map(excess.__getitem__, cols)) <= bound for bound, excess in tables)
 
 
 def enumerate_types(m: int, b: int, max_v: int | None = None) -> list[PatternType]:
@@ -286,7 +276,7 @@ def enumerate_types(m: int, b: int, max_v: int | None = None) -> list[PatternTyp
     regularity and canonical_type do not depend on the row order, so only
     leaves with non-increasing row counts are tested.
     A leaf's columns are u-bit masks, row 0 the most significant bit; it is
-    tested by _is_regular_leaf and canonicalized as canonical_type does,
+    tested by _regular_columns and canonicalized as canonical_type does,
     through one column table per row permutation, with each candidate mask
     packed into one int whose order is the row-major order of masks.
     The unpruned search is counted first (_search_nodes, an upper bound on
@@ -315,7 +305,6 @@ def enumerate_types(m: int, b: int, max_v: int | None = None) -> list[PatternTyp
         col_rows = [s for r in range(2, u + 1) for s in combinations(range(u), r)]
         col_bits = [sum(1 << (u - 1 - i) for i in s) for s in col_rows]
         weights = [len(s) for s in col_rows]
-        tables = _excess_tables(u, b)
         # a column under a row permutation p: new row k is old row p[k]
         permuted = [[sum(1 << (u - 1 - k) for k, i in enumerate(p) if c >> (u - 1 - i) & 1)
                      for c in range(1 << u)] for p in permutations(range(u))]
@@ -333,7 +322,7 @@ def enumerate_types(m: int, b: int, max_v: int | None = None) -> list[PatternTyp
                 if any(x < y for x, y in zip(row_counts, row_counts[1:])):
                     return
                 cols = [col_bits[c] for c in chosen]
-                if not _is_regular_leaf(cols, tables):
+                if not _regular_columns(cols, u, 1, b):
                     return
                 # the least row-major mask: each row order sorts the columns
                 best = None
@@ -478,17 +467,25 @@ def type_orbit_count(pt: PatternType) -> int:
     return factorial(pt.u) * arrangements // order
 
 
-def type_orbit_masks(pt: PatternType) -> list[tuple]:
-    """All distinct masks reachable from pt by row/column permutations, sorted:
+def _packed_orbit_masks(pt: PatternType) -> list[tuple]:
+    """All distinct masks reachable from pt by row/column permutations,
+    sorted, each row a v-bit int with column 0 the most significant bit:
     every row order of each arrangement of the uncut walk of _arrangements,
     so repeated columns are not permuted among themselves.
     """
     _orbit_guard(pt)
-    v = pt.v
     rperms = list(permutations(range(pt.u)))
     seen = set()
     for rows in _arrangements(pt, cut=False):
         seen.update(tuple(map(rows.__getitem__, p)) for p in rperms)
+    return sorted(seen)
+
+
+def type_orbit_masks(pt: PatternType) -> list[tuple]:
+    """All distinct masks reachable from pt by row/column permutations, sorted:
+    _packed_orbit_masks with 0/1 row tuples (int order is tuple order)."""
+    masks = _packed_orbit_masks(pt)
+    v = pt.v
     bits = {row: tuple(row >> (v - 1 - j) & 1 for j in range(v))
-            for row in set(chain.from_iterable(seen))}
-    return [tuple(map(bits.__getitem__, mask)) for mask in sorted(seen)]
+            for row in set(chain.from_iterable(masks))}
+    return [tuple(map(bits.__getitem__, mask)) for mask in masks]

@@ -138,9 +138,10 @@ def instantiate_type(pt, m, n) -> list:
 
 def brute_enumerate_types(m, b):
     """enumerate_types' column search without pruning: every multiset of
-    column types within the weight cap, with no row-count bound while it
-    grows and every row order of each leaf taken, so it visits exactly the
-    patterns._search_nodes(u, b) nodes for each u."""
+    column types within the weight cap 2b(u - 1) (at least enumerate_types'
+    b(u - 1) + v), with no row-count bound while it grows and every row
+    order of each leaf taken.  Leaves are tested with is_regular's brute
+    mode, so the search shares no regularity code with enumerate_types."""
     found = {}
     for u in range(1, m + 1):
         vmin, vmax = u + b, b * (u - 1)
@@ -161,7 +162,7 @@ def brute_enumerate_types(m, b):
                     return
                 pattern = ErasurePattern.of(
                     (i, j) for j, c in enumerate(chosen) for i in col_types[c])
-                if not is_regular(topo, pattern, mode="fast"):
+                if not is_regular(topo, pattern, mode="brute"):
                     return
                 pt = canonical_type(pattern)
                 found.setdefault((pt.u, pt.v, pt.mask), pt)

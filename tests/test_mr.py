@@ -435,12 +435,36 @@ def test_cap_is_checked_before_any_mask_is_built(certified_t46, monkeypatch):
         raise AssertionError(f"masks of {pt} built before the cap check")
 
     monkeypatch.setattr(mr, "row_class_masks", built)
-    monkeypatch.setattr(mr, "type_orbit_masks", built)
+    monkeypatch.setattr(mr, "_packed_orbit_masks", built)
     mr._sweep_plan.cache_clear()
     with pytest.raises(ResourceGuard, match="75 pattern classes exceed cap 10"):
         certify_mr(code, instantiation_cap=10)
     with pytest.raises(ResourceGuard, match="1800 pattern instantiations exceed cap 10"):
         certify_mr(code, instantiation_cap=10, dedupe_rows=False)
+
+
+def test_cap_is_checked_before_the_mds_check(certified_t46, monkeypatch):
+    # the plan comes first, so a shape over the cap is refused before any of
+    # the code's C(n, b) MDS subsets is tested
+    def mds_check(*args):
+        raise AssertionError("MDS check ran before the cap check")
+
+    monkeypatch.setattr(mr, "every_w_columns_independent", mds_check)
+    mr._sweep_plan.cache_clear()
+    code, _, _ = certified_t46
+    with pytest.raises(ResourceGuard, match="75 pattern classes exceed cap 10"):
+        certify_mr(code, instantiation_cap=10)
+    s = FieldSpec(1048573)
+    wide = simple_code(s, 3, 40, 5, range(1, 41))
+    with pytest.raises(ResourceGuard, match="3913081272100 pattern classes exceed cap 10000000"):
+        certify_mr(wide)
+    # a code that is not MDS is refused too when its shape is over the cap
+    monkeypatch.undo()
+    h = GFMatrix(FieldSpec(7), [[1, 1, 2, 3, 4, 1], [2, 2, 3, 1, 5, 6]])  # repeated column
+    weak = TensorCode.simple_parity_col(Topology(4, 6, 1, 2), h)
+    with pytest.raises(ResourceGuard, match="75 pattern classes exceed cap 10"):
+        certify_mr(weak, instantiation_cap=10)
+    assert certify_mr(weak).verdict == "failed_mds"
 
 
 def test_certify_t4x13_gf16_always_fails():

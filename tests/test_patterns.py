@@ -152,16 +152,17 @@ def test_enumerate_types_resource_guard(monkeypatch):
 
 
 def _grow_calls(u, b, max_v=None):
-    """Calls of the unpruned column search (brute_enumerate_types) for u-row
-    types with at most max_v columns, by running the same recursion without
-    emitting types."""
+    """Calls of the unpruned column search for u-row types with at most max_v
+    columns: enumerate_types' grow, with its weight cap b(u - 1) + v but no
+    row-count bound, run without emitting types."""
     vmin, vmax = u + b, b * (u - 1)
     if max_v is not None:
         vmax = min(vmax, max_v)
     weights = [r for r in range(2, u + 1) for _ in combinations(range(u), r)]
-    cap = 2 * b * (u - 1)
     calls = 0
     for v in range(vmin, vmax + 1):
+        cap = b * (u - 1) + v  # enumerate_types' weight cap
+
         def grow(start, weight, remaining):
             nonlocal calls
             calls += 1
@@ -220,31 +221,39 @@ def test_width_bounded_enumeration_is_the_filtered_enumeration(m, b):
 
 def test_enumerate_types_guard_fails_fast(monkeypatch):
     # the guard counts only the widths searched: up to 7 columns the unpruned
-    # search of (6, 2) visits 305,657 nodes, and no 6-row type fits
-    assert sum(patterns._search_nodes(u, 2, 7) for u in range(1, 7)) == 305657
+    # search of (6, 2) visits 100,452 nodes, and no 6-row type fits
+    assert sum(patterns._search_nodes(u, 2, 7) for u in range(1, 7)) == 100452
     assert enumerate_types(6, 2, 7) == enumerate_types(5, 2, 7)
-    # the unpruned search for (5, 2) visits 924 + 348491 nodes, which bounds
+    # the unpruned search for (5, 2) visits 924 + 143286 nodes, which bounds
     # the pruned one; a guard one below that refuses it before searching, with
     # the count and the guard in the message
-    assert patterns._search_nodes(4, 2) + patterns._search_nodes(5, 2) == 349415
+    assert patterns._search_nodes(4, 2) + patterns._search_nodes(5, 2) == 144210
     guard = patterns.ENUMERATION_GUARD
     # a search that reaches a leaf fails: with the guard at the count the
     # search starts and stops at its first leaf test
-    monkeypatch.setattr(patterns, "_is_regular_leaf", None)
-    monkeypatch.setattr(patterns, "ENUMERATION_GUARD", 349415)
+    monkeypatch.setattr(patterns, "_regular_columns", None)
+    monkeypatch.setattr(patterns, "ENUMERATION_GUARD", 144210)
     with pytest.raises(TypeError, match="'NoneType' object is not callable"):
         enumerate_types(5, 2)
-    monkeypatch.setattr(patterns, "ENUMERATION_GUARD", 349414)
-    with pytest.raises(ResourceGuard, match="at least 349415 search nodes .* guard 349414"):
+    monkeypatch.setattr(patterns, "ENUMERATION_GUARD", 144209)
+    with pytest.raises(ResourceGuard, match="at least 144210 search nodes .* guard 144209"):
         enumerate_types(5, 2)
-    # the unpruned search of (6, 2) would visit 213,287,811 nodes, over the
+    # the unpruned search of (6, 2) would visit 32,381,548 nodes, over the
     # default guard
     monkeypatch.setattr(patterns, "ENUMERATION_GUARD", guard)
-    with pytest.raises(ResourceGuard, match="at least 213287811 search nodes"):
+    with pytest.raises(ResourceGuard, match="at least 32381548 search nodes"):
         enumerate_types(6, 2)
     # a huge b is refused from the weight-2 lower bound, before any table
     with pytest.raises(ResourceGuard, match="types with up to 3 rows"):
         enumerate_types(3, 10 ** 9)
+
+
+def test_search_node_count_admits_eight_column_b3_searches():
+    # T_{m x 8}(1, 3, 0) for any m: no type of six or more rows fits in eight
+    # columns, and the counted search is under the guard (no search is run)
+    nodes = sum(patterns._search_nodes(u, 3, 8) for u in range(1, 6))
+    assert nodes == 3619073 < patterns.ENUMERATION_GUARD
+    assert patterns._search_nodes(6, 3, 8) == 0
 
 
 def test_instantiate_type_examples():
