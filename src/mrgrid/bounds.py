@@ -183,17 +183,3 @@ BOUND_NAMES = ("gopalan_general", "kmg_poly", "t4_upper", "t3_upper",
                "t4_lower_threshold", "t3_lower_threshold", "sidon_max",
                "type_count", "hypergraph_alpha")
 
-
-def q_below_t4_threshold(q: int, n: int) -> bool:
-    """Exact check of q < (n-3)^2/4 + 2."""
-    return 4 * q < (n - 3) ** 2 + 8
-
-
-def q_below_t3_threshold(q: int, n: int) -> bool:
-    """Exact check of q < sqrt(n^2 - 11n + 34)/2."""
-    return 4 * q * q < n * n - 11 * n + 34
-
-
-def exceeds_sidon_bound(size: int, N: int) -> bool:
-    """Exact check of size > 2*sqrt(N) + 1."""
-    return size >= 1 and (size - 1) ** 2 > 4 * N

@@ -105,7 +105,7 @@ class GridWord:
     def from_dict(cls, d: dict) -> "GridWord":
         erased = d.get("erased")
         if erased is not None and not all(
-                len(cell) == 2 and all(isinstance(x, int) for x in cell)
+                len(cell) == 2 and all(type(x) is int for x in cell)
                 for cell in list_of_rows(erased, "erased cells")):
             raise ValueError("erased cells must be [row, column] integer pairs")
         return cls.of(list_of_rows(d["entries"], "word entries"), erased)

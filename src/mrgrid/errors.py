@@ -25,10 +25,6 @@ class ResourceGuard(MrGridError):
     pass
 
 
-class EmptyPattern(MrGridError):
-    pass
-
-
 class Uncorrectable(MrGridError):
     pass
 

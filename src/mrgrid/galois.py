@@ -201,8 +201,8 @@ class FieldSpec:
         if not isinstance(d, dict):
             raise ValueError(f"a field must be an object, got {type(d).__name__}")
         p, k, modulus = d["p"], d.get("k", 1), d.get("modulus")
-        if not (isinstance(p, int) and isinstance(k, int)
-                and (modulus is None or isinstance(modulus, int))):
+        if not (type(p) is int and type(k) is int
+                and (modulus is None or type(modulus) is int)):
             raise ValueError(f"field p, k and modulus must be integers, got {d!r}")
         return cls(p, k, modulus)
 

@@ -67,7 +67,7 @@ class GFMatrix:
             raise ValueError(f"a matrix must be an object, got {type(d).__name__}")
         m = cls(FieldSpec.from_dict(d["field"]), list_of_rows(d["data"], "matrix data"))
         for key in ("rows", "cols"):
-            if key in d and d[key] != getattr(m, key):
+            if key in d and (type(d[key]) is not int or d[key] != getattr(m, key)):
                 raise ValueError(f"matrix declares {key} = {d[key]!r}, its data has "
                                  f"{getattr(m, key)}")
         return m

@@ -104,8 +104,9 @@ def find_sum_collision(exponents, modulus: int) -> SidonWitness | None:
     equal sums forces b = c), so any sum bucket holding three pairs yields a
     witness.
     """
-    exps = sorted(set(int(t) % modulus for t in exponents))
-    if len(exps) != len(set(exponents)):
+    residues = [int(t) % modulus for t in exponents]
+    exps = sorted(set(residues))
+    if len(exps) != len(residues):
         raise ValueError("exponents must be distinct mod modulus")
     buckets: dict[int, list] = {}
     for a, b in combinations(exps, 2):
@@ -545,11 +546,6 @@ def _greedy_values(spec: FieldSpec, n: int, seed: int) -> list | None:
     return accepted if len(accepted) >= n else None
 
 
-def _vandermonde_rows(spec: FieldSpec, values, height: int) -> GFMatrix:
-    rows = [[spec.pow(v, k) for v in values] for k in range(height)]
-    return GFMatrix(spec, rows)
-
-
 def search_mr(m: int, b: int, n: int, spec: FieldSpec,
               strategy: str = "greedy_indep", seed: int = 0,
               budget: int = DEFAULT_RANDOM_BUDGET,
@@ -570,7 +566,7 @@ def search_mr(m: int, b: int, n: int, spec: FieldSpec,
         values = _greedy_values(spec, n, seed)
         if values is None:
             return None
-        h_row = _vandermonde_rows(spec, values, b)
+        h_row = GFMatrix(spec, [[spec.pow(v, k) for v in values] for k in range(b)])
         code = TensorCode.simple_parity_col(topo, h_row)
         report = certify_mr(code, instantiation_cap)
         return code if report.verdict == "certified" else None

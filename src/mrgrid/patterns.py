@@ -4,19 +4,18 @@ Rows and columns are 0-based throughout.  Pattern types are canonical
 representatives of the orbit under row and column permutations: the
 lexicographically least 0/1 mask, compared row-major.  For a fixed row
 order the minimizing column order is obtained by sorting columns as
-top-down bit strings, so canonicalization costs u! column sorts instead
-of a u!*v! sweep.
+top-down bit strings, so enumerate_types canonicalizes a mask with u!
+column sorts instead of a u!*v! sweep.
 
-A type's embeddings come from the distinct arrangements of its column
-multiset (at most v!), found by one prefix-tree walk (_arrangements).
-_row_symmetry finds the group G of row permutations that map the column
-multiset to itself.  row_class_masks walks with G's cuts, which keep one
-arrangement per row-relabelling class, the least, and returns it with its
-rows sorted and packed as v-bit ints; _packed_orbit_masks applies the u!
-row permutations to every arrangement of the uncut walk to get every mask
-of the orbit, which type_orbit_masks unpacks to 0/1 tuples.
-row_class_count and type_orbit_count give their lengths from G and the
-arrangement count alone, before any mask is built.
+_row_symmetry finds the group G of row permutations that map a type's
+column multiset to itself.  row_class_masks walks the prefix tree of the
+type's distinct column arrangements (at most v!) with G's cuts, which keep
+one arrangement per row-relabelling class, the least, and returns it with
+its rows sorted and packed as v-bit ints.  Every mask of the orbit is a row
+order of exactly one class's mask, so _packed_orbit_masks takes the
+distinct row orders of the class masks, which type_orbit_masks unpacks to
+0/1 tuples.  row_class_count and type_orbit_count give their lengths from
+G and the arrangement count alone, before any mask is built.
 """
 
 from __future__ import annotations
@@ -26,9 +25,8 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, permutations
 from math import comb, factorial
 
-from .errors import EmptyPattern, ResourceGuard
+from .errors import ResourceGuard
 
-CANONICAL_GUARD = 10 ** 8
 ENUMERATION_GUARD = 10 ** 7
 
 
@@ -42,7 +40,7 @@ class Topology:
     b: int
 
     def __post_init__(self):
-        if not all(isinstance(x, int) for x in (self.m, self.n, self.a, self.b)):
+        if not all(type(x) is int for x in (self.m, self.n, self.a, self.b)):
             raise ValueError(f"m, n, a and b must be integers, got {self!r}")
         if self.m < 1 or self.n < 1:
             raise ValueError("grid dimensions must be positive")
@@ -100,17 +98,9 @@ class PatternType:
     v: int
     mask: tuple  # tuple of row tuples
 
-    def weight(self) -> int:
-        return sum(sum(row) for row in self.mask)
-
     def to_dict(self) -> dict:
         return {"u": self.u, "v": self.v,
                 "mask": ["".join(str(x) for x in row) for row in self.mask]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PatternType":
-        mask = tuple(tuple(int(ch) for ch in row) for row in d["mask"])
-        return cls(d["u"], d["v"], mask)
 
 
 def _check_grid(t: Topology, e: ErasurePattern):
@@ -190,31 +180,6 @@ def is_regular(t: Topology, e: ErasurePattern, mode: str = "fast") -> bool:
     return True
 
 
-def canonical_type(e: ErasurePattern) -> PatternType:
-    """Lexicographically least mask over all row/column permutations."""
-    if not e.cells:
-        raise EmptyPattern("cannot canonicalize an empty pattern")
-    rows_used = e.rows_used
-    cols_used = e.cols_used
-    rpos = {i: k for k, i in enumerate(rows_used)}
-    cpos = {j: k for k, j in enumerate(cols_used)}
-    u, v = len(rows_used), len(cols_used)
-    if factorial(u) * v > CANONICAL_GUARD:
-        raise ResourceGuard(f"canonicalization guard exceeded: u!*v = {factorial(u) * v} "
-                            f"column sorts, guard {CANONICAL_GUARD}")
-    # columns as top-down bit tuples of the support mask
-    cols = [[0] * u for _ in range(v)]
-    for i, j in e.cells:
-        cols[cpos[j]][rpos[i]] = 1
-    best = None
-    for perm in permutations(range(u)):
-        ordered = sorted(tuple(col[p] for p in perm) for col in cols)
-        mask = tuple(tuple(col[i] for col in ordered) for i in range(u))
-        if best is None or mask < best:
-            best = mask
-    return PatternType(u, v, best)
-
-
 def _search_nodes(u: int, b: int, max_v: int | None = None) -> int:
     """The calls of the unpruned column search for types with u rows and at
     most max_v columns (any number when None), or a lower bound on them
@@ -273,12 +238,13 @@ def enumerate_types(m: int, b: int, max_v: int | None = None) -> list[PatternTyp
     or the weight cap with the lightest columns left; the column types are
     ordered by weight, so a column that overruns the cap ends its loop.
     Every row order of a column multiset is a leaf of the search, and
-    regularity and canonical_type do not depend on the row order, so only
-    leaves with non-increasing row counts are tested.
+    regularity and the canonical form do not depend on the row order, so
+    only leaves with non-increasing row counts are tested.
     A leaf's columns are u-bit masks, row 0 the most significant bit; it is
-    tested by _regular_columns and canonicalized as canonical_type does,
-    through one column table per row permutation, with each candidate mask
-    packed into one int whose order is the row-major order of masks.
+    tested by _regular_columns and canonicalized through one column table
+    per row permutation: each row order sorts the columns, and the least
+    candidate mask, packed into one int whose order is the row-major order
+    of masks, is the type.
     The unpruned search is counted first (_search_nodes, an upper bound on
     the nodes visited) and refused before it starts when it would visit more
     than ENUMERATION_GUARD nodes.  Given max_v, the search and the count
@@ -393,13 +359,26 @@ def _row_symmetry(pt: PatternType) -> tuple:
     return kinds, left, arrangements, group, order
 
 
-def _arrangements(pt: PatternType, cut: bool) -> list[tuple]:
-    """pt's distinct column arrangements in lexicographic order, each as its
-    rows, row 0 first, each a v-bit int with column 0 the most significant
-    bit; with cut, only the least of each G-orbit (see _row_symmetry).
+def row_class_count(pt: PatternType) -> int:
+    """len(row_class_masks(pt)), with its guards, from G alone: G permutes
+    the kinds freely on the arrangements (a permutation that fixes one fixes
+    each of its columns), so each class holds len(group) + 1 of them."""
+    _, _, arrangements, group, _ = _row_symmetry(pt)
+    return arrangements // (len(group) + 1)
 
-    A prefix-tree walk that carries the members of G tying the prefix (mapping
-    it to itself); with cut, a branch ends once one maps it to a smaller one.
+
+def row_class_masks(pt: PatternType) -> list[tuple]:
+    """One mask per row-relabelling class of pt's orbit, packed: the mask's
+    rows sorted, each row a v-bit int with column 0 the most significant bit.
+
+    Unpacked, equals sorted({tuple(sorted(mask)) for mask in
+    type_orbit_masks(pt)}); int order is 0/1-tuple order, so the order is
+    the same.  A prefix-tree walk over pt's distinct column arrangements
+    carries the members of G tying the prefix (mapping it to itself), and a
+    branch ends once one maps it to a smaller one.  A row permutation that
+    maps one column arrangement to another maps the column multiset to
+    itself, so it lies in G, and the walk reaches one leaf per class: its
+    least arrangement.
     """
     u, v = pt.u, pt.v
     kinds, left, _, group, _ = _row_symmetry(pt)
@@ -410,7 +389,7 @@ def _arrangements(pt: PatternType, cut: bool) -> list[tuple]:
 
     def extend(depth, rows, tied):
         if depth == v:
-            found.append(tuple((rows >> (i * v)) & full for i in range(u)))
+            found.append(tuple(sorted((rows >> (i * v)) & full for i in range(u))))
             return
         for c in range(len(kinds)):
             if not left[c]:
@@ -426,30 +405,8 @@ def _arrangements(pt: PatternType, cut: bool) -> list[tuple]:
                 extend(depth + 1, rows << 1 | spread[c], still)
                 left[c] += 1
 
-    extend(0, 0, list(group) if cut else [])
-    return found
-
-
-def row_class_count(pt: PatternType) -> int:
-    """len(row_class_masks(pt)), with its guards, from G alone: G permutes
-    the kinds freely on the arrangements (a permutation that fixes one fixes
-    each of its columns), so each class holds len(group) + 1 of them."""
-    _, _, arrangements, group, _ = _row_symmetry(pt)
-    return arrangements // (len(group) + 1)
-
-
-def row_class_masks(pt: PatternType) -> list[tuple]:
-    """One mask per row-relabelling class of pt's orbit, packed: the mask's
-    rows sorted, each row a v-bit int with column 0 the most significant bit.
-
-    Unpacked, equals sorted({tuple(sorted(mask)) for mask in
-    type_orbit_masks(pt)}); int order is 0/1-tuple order, so the order is
-    the same.  A row permutation that maps one column arrangement to
-    another maps the column multiset to itself, so it lies in G, and the
-    cut walk of _arrangements reaches one leaf per class: its least
-    arrangement.
-    """
-    return sorted(tuple(sorted(rows)) for rows in _arrangements(pt, cut=True))
+    extend(0, 0, list(group))
+    return sorted(found)
 
 
 def _orbit_guard(pt: PatternType):
@@ -470,15 +427,11 @@ def type_orbit_count(pt: PatternType) -> int:
 def _packed_orbit_masks(pt: PatternType) -> list[tuple]:
     """All distinct masks reachable from pt by row/column permutations,
     sorted, each row a v-bit int with column 0 the most significant bit:
-    every row order of each arrangement of the uncut walk of _arrangements,
-    so repeated columns are not permuted among themselves.
+    the distinct row orders of each row class's mask (every mask of the
+    orbit is a row order of exactly one of them).
     """
     _orbit_guard(pt)
-    rperms = list(permutations(range(pt.u)))
-    seen = set()
-    for rows in _arrangements(pt, cut=False):
-        seen.update(tuple(map(rows.__getitem__, p)) for p in rperms)
-    return sorted(seen)
+    return sorted(chain.from_iterable(set(permutations(rows)) for rows in row_class_masks(pt)))
 
 
 def type_orbit_masks(pt: PatternType) -> list[tuple]:

@@ -3,11 +3,13 @@
 import random
 import time
 from itertools import accumulate, chain, combinations, combinations_with_replacement, permutations
+from math import factorial
 
-from mrgrid import ErasurePattern, GFMatrix, TensorCode, Topology, search_mr
+from mrgrid import ErasurePattern, GFMatrix, PatternType, TensorCode, Topology, search_mr
+from mrgrid.errors import MrGridError, ResourceGuard
 # the field-order sweeps of the tests are the ones the CLI search uses
 from mrgrid.galois import prime_powers_upto, spec_for_order
-from mrgrid.patterns import canonical_type, enumerate_types, is_regular, type_orbit_masks
+from mrgrid.patterns import enumerate_types, is_regular, type_orbit_masks
 
 
 def _is_prime(n):
@@ -82,6 +84,42 @@ def mask_pattern(mask, columns=None) -> ErasurePattern:
 def simple_code(spec, m, n, b, values) -> TensorCode:
     h_row = GFMatrix(spec, [[spec.pow(v, k) for v in values] for k in range(b)])
     return TensorCode.simple_parity_col(Topology(m, n, 1, b), h_row)
+
+
+# ----------------------------------------------------------------------
+# canonical form of one pattern: the oracle of enumerate_types' packed form
+# ----------------------------------------------------------------------
+
+CANONICAL_GUARD = 10 ** 8
+
+
+class EmptyPattern(MrGridError):
+    pass
+
+
+def canonical_type(e: ErasurePattern) -> PatternType:
+    """Lexicographically least mask over all row/column permutations: for
+    each row order, the columns sorted as top-down bit tuples."""
+    if not e.cells:
+        raise EmptyPattern("cannot canonicalize an empty pattern")
+    rows_used = e.rows_used
+    cols_used = e.cols_used
+    rpos = {i: k for k, i in enumerate(rows_used)}
+    cpos = {j: k for k, j in enumerate(cols_used)}
+    u, v = len(rows_used), len(cols_used)
+    if factorial(u) * v > CANONICAL_GUARD:
+        raise ResourceGuard(f"canonicalization guard exceeded: u!*v = {factorial(u) * v} "
+                            f"column sorts, guard {CANONICAL_GUARD}")
+    cols = [[0] * u for _ in range(v)]
+    for i, j in e.cells:
+        cols[cpos[j]][rpos[i]] = 1
+    best = None
+    for perm in permutations(range(u)):
+        ordered = sorted(tuple(col[p] for p in perm) for col in cols)
+        mask = tuple(tuple(col[i] for col in ordered) for i in range(u))
+        if best is None or mask < best:
+            best = mask
+    return PatternType(u, v, best)
 
 
 # ----------------------------------------------------------------------
@@ -389,6 +427,23 @@ def five_subset_greedy_values(spec, n, seed):
                 forbidden.update(involution_roots(spec, (x,) + four))
         accepted.append(x)
     return accepted if len(accepted) >= n else None
+
+
+# exact threshold predicates, each by cross-multiplication in integers
+
+def q_below_t4_threshold(q: int, n: int) -> bool:
+    """Exact check of q < (n-3)^2/4 + 2."""
+    return 4 * q < (n - 3) ** 2 + 8
+
+
+def q_below_t3_threshold(q: int, n: int) -> bool:
+    """Exact check of q < sqrt(n^2 - 11n + 34)/2."""
+    return 4 * q * q < n * n - 11 * n + 34
+
+
+def exceeds_sidon_bound(size: int, N: int) -> bool:
+    """Exact check of size > 2*sqrt(N) + 1."""
+    return size >= 1 and (size - 1) ** 2 > 4 * N
 
 
 def is_two_sidon(subset, modulus: int) -> bool:

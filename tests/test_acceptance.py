@@ -15,13 +15,13 @@ import pytest
 
 from mrgrid import (ErasurePattern, FieldSpec, GFMatrix, GridWord,
                     TensorCode, Topology, attack_t4, bound, build_pseudo_parity,
-                    canonical_type, certify_mr, decode, encode, enumerate_types,
+                    certify_mr, decode, encode, enumerate_types,
                     find_sum_collision, is_correctable_by,
                     is_regular, primitive_element, rank, reduce_restricted)
-from mrgrid.bounds import exceeds_sidon_bound, q_below_t4_threshold
 from mrgrid.mr import E0_MASK, TYPE_II_MASK
-from _support import (TYPE_I_MASK, class_pattern, f_t4, is_two_sidon, mask_pattern,
-                      max_two_sidon, pattern_classes, random_mds_rows, random_nonzero_row,
+from _support import (TYPE_I_MASK, canonical_type, class_pattern, exceeds_sidon_bound, f_t4,
+                      is_two_sidon, mask_pattern, max_two_sidon, pattern_classes,
+                      q_below_t4_threshold, random_mds_rows, random_nonzero_row,
                       prime_powers_upto, spec_for_order)
 
 

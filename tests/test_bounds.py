@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from mrgrid import bound, enumerate_types
-from mrgrid.bounds import (DIGIT_LIMIT, _log10_comb_le, comb_le, exceeds_sidon_bound,
-                           q_below_t3_threshold, q_below_t4_threshold)
+from mrgrid.bounds import DIGIT_LIMIT, _log10_comb_le, comb_le
 from mrgrid.errors import MissingConstant, ResourceGuard
+from _support import exceeds_sidon_bound, q_below_t3_threshold, q_below_t4_threshold
 
 
 def test_kmg_poly_example():

@@ -299,8 +299,11 @@ def _set(path, value):
     _set(["h_col", "field"], 7), _set(["h_row", "field", "p"], 2 ** 127 - 1),
     # declared shape or field that disagrees with the data
     _set(["h_row", "rows"], 3), _set(["h_row", "cols"], 8), _set(["field"], {"p": 11, "k": 1}),
+    # a boolean is not an integer, though each one here equals the value meant
+    _set(["a"], True), _set(["h_col", "field", "k"], True), _set(["h_col", "rows"], True),
 ], ids=["m-str", "m-float", "h_row-list", "data-int", "rows-int", "p-str", "k-str",
-        "field-int", "p-huge-prime", "h_row-rows", "h_row-cols", "code-field"])
+        "field-int", "p-huge-prime", "h_row-rows", "h_row-cols", "code-field",
+        "a-true", "k-true", "h_col-rows-true"])
 def test_malformed_code_file_is_usage_error(tmp_path, capsys, command, edit):
     code = edit(_geometric_code(4, 1).to_dict())
     f = tmp_path / "code.json"
@@ -325,7 +328,8 @@ def test_declared_shape_and_field_are_optional(tmp_path, capsys):
 @pytest.mark.parametrize("word", [{"entries": 5}, {"entries": [5, 6]},
                                   {"entries": [[0] * 6] * 4, "erased": 5},
                                   {"entries": [[0] * 6] * 4, "erased": [[None, 0]]},
-                                  {"entries": [[0] * 6] * 4, "erased": [[0, 0, 0]]}])
+                                  {"entries": [[0] * 6] * 4, "erased": [[0, 0, 0]]},
+                                  {"entries": [[0] * 6] * 4, "erased": [[False, True]]}])
 def test_malformed_word_file_is_usage_error(tmp_path, capsys, word):
     (tmp_path / "code.json").write_text(json.dumps(_geometric_code(4, 1).to_dict()))
     (tmp_path / "word.json").write_text(json.dumps(word))

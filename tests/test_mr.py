@@ -10,19 +10,18 @@ from mrgrid import (ErasurePattern, FieldSpec, GFMatrix,
                     certify_mr, every_w_columns_independent, find_sum_collision,
                     is_correctable_by, is_irreducible, is_regular, primitive_element,
                     rank, reduce_restricted, search_mr)
-from mrgrid.bounds import q_below_t3_threshold, q_below_t4_threshold
 from mrgrid.errors import NotMds, ResourceGuard
 from mrgrid.gfmatrix import row_inserter
 from mrgrid import mr
 from mrgrid.mr import (E0_MASK, TYPE_II_MASK, _disjoint_edges, _greedy_values, _null_vectors,
                        _sorted_walk, _truncated, _walk)
-from mrgrid.patterns import (canonical_type, enumerate_types, row_class_masks,
-                             type_orbit_masks)
-from _support import (TYPE_I_MASK, brute_echelon, brute_greedy_values, f_t3, f_t4,
-                      first_certified, five_subset_greedy_values, is_two_sidon,
+from mrgrid.patterns import enumerate_types, row_class_masks, type_orbit_masks
+from _support import (TYPE_I_MASK, brute_echelon, brute_greedy_values, canonical_type, f_t3,
+                      f_t4, first_certified, five_subset_greedy_values, is_two_sidon,
                       leibniz_determinant, mask_pattern, prime_powers_upto,
-                      random_mds_rows, random_nonzero_row, simple_code, spec_for_order,
-                      tuple_sweep_plan, unpack_mask, zero_under_some_permutation)
+                      q_below_t3_threshold, q_below_t4_threshold, random_mds_rows,
+                      random_nonzero_row, simple_code, spec_for_order, tuple_sweep_plan,
+                      unpack_mask, zero_under_some_permutation)
 
 
 # ----------------------------------------------------------------------
@@ -171,6 +170,11 @@ def test_find_sum_collision_witness_structure():
 def test_find_sum_collision_rejects_duplicates():
     with pytest.raises(ValueError):
         find_sum_collision([0, 1, 16], 15)
+    # a repeated exponent is a duplicate too, not merged into one
+    with pytest.raises(ValueError, match="distinct"):
+        find_sum_collision([1, 1, 2, 3, 4, 5, 6], 100)
+    # the exponents are read once, so a one-shot iterable is not refused
+    assert find_sum_collision(iter(range(6)), 6) == find_sum_collision(range(6), 6) is not None
 
 
 # ----------------------------------------------------------------------
