@@ -177,7 +177,7 @@ class FieldSpec:
 
     # ------------------------------------------------------------------
     def validate(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.order:
+        if type(a) is not int or not 0 <= a < self.order:
             raise ValueError(f"{a!r} is not an element of {self}")
         return a
 

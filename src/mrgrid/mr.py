@@ -381,14 +381,11 @@ def _sweep_plan(m: int, b: int, n: int, dedupe_rows: bool, instantiation_cap: in
     """The code-independent part of certify_mr's sweep on T_{m x n}(1, b, 0).
 
     One entry per type with at most n columns, in enumerate_types order:
-    (pt, row_choices, masks, entries, walk).  row_choices are the grid-row
-    choices the masks are placed on, masks the type's row-class masks (with
-    dedupe_rows) or orbit masks, both packed as row_class_masks packs them,
-    and entries and walk the _sorted_walk of every mask's rows.  Raises
-    ResourceGuard before any mask is built when the instantiations, counted
-    by row_class_count or type_orbit_count, exceed instantiation_cap.
-    Every code of one shape shares the plan, so it is cached; only the last
-    plan is kept, and a ResourceGuard is not cached.
+    (pt, masks, entries, walk), masks its row_class_masks and entries and
+    walk their _sorted_walk, in both modes.  Raises ResourceGuard before any
+    mask is built when the classes, or without dedupe_rows the embeddings,
+    exceed instantiation_cap.  Every code of one shape shares the plan, so it
+    is cached; only the last plan is kept, and a ResourceGuard is not cached.
     """
     types = enumerate_types(m, b, n)
     if dedupe_rows:
@@ -400,14 +397,9 @@ def _sweep_plan(m: int, b: int, n: int, dedupe_rows: bool, instantiation_cap: in
         raise ResourceGuard(f"{total} pattern {unit} exceed cap {instantiation_cap}")
     plan = []
     for pt in types:
-        if dedupe_rows:
-            row_choices = (range(pt.u),)
-            masks = row_class_masks(pt)
-        else:
-            row_choices = tuple(combinations(range(m), pt.u))
-            masks = _packed_orbit_masks(pt)
+        masks = row_class_masks(pt)
         entries, walk = _sorted_walk(b, pt.v, masks)
-        plan.append((pt, row_choices, tuple(masks), tuple(entries), tuple(walk)))
+        plan.append((pt, tuple(masks), tuple(entries), tuple(walk)))
     return tuple(plan)
 
 
@@ -419,9 +411,12 @@ def certify_mr(code: TensorCode,
     Checks that both parities are MDS (every b columns of h_row independent,
     every column-parity coefficient nonzero), then that every instantiation
     of every regular irreducible pattern type is correctable.  Correctability
-    is invariant under grid-row relabeling (see below), so by default one
-    representative per row-relabeling class is checked and patterns_checked
-    counts classes; dedupe_rows=False enumerates every embedding literally.
+    is invariant under grid-row relabeling (see below), so one representative
+    per row-relabeling class is checked.  patterns_checked counts the classes,
+    or with dedupe_rows=False every embedding: each type's orbit masks on each
+    passing column subset and grid-row choice.  A literal sweep fails first on
+    rows range(u) and the failing class's mask, its least row order (classes
+    are sorted), whose index in _packed_orbit_masks the count then takes.
 
     An instantiation E on the columns V is correctable iff H|_E has full
     column rank, i.e. no nonzero x on E has zero row and column syndromes.
@@ -433,13 +428,13 @@ def certify_mr(code: TensorCode,
     So E is correctable iff the kernel rows of its grid rows have full row
     rank: for each row, the _null_vectors of h_row on its support, truncated
     to those positions, in all sum(|C_i| - b) <= v - b rows of length v - b.
-    They depend on the row supports alone, so the grid rows' order and the
-    alphas drop out.  Every type is irreducible, so the sweep skips that
-    test.  The types that fit in n columns, their masks and sorted walks
-    depend on the shape alone and come from _sweep_plan, built once per
-    shape and first, so its guards refuse a shape over the cap before the
-    MDS check; the null vectors depend on the support's columns in the grid
-    alone and are built once per call.
+    They depend on the row supports alone, so which grid rows E uses, their
+    order and the alphas drop out.  Every type is irreducible, so the sweep
+    skips that test.  The types that fit in n columns, their masks and
+    sorted walks depend on the shape alone and come from _sweep_plan, built
+    once per shape and first, so its guards refuse a shape over the cap
+    before the MDS check; the null vectors depend on the support's columns
+    in the grid alone and are built once per call.
 
     Row order does not change a rank, so the masks of one type are checked
     together on each column subset, in one pass: _sorted_walk sorts each
@@ -465,26 +460,30 @@ def certify_mr(code: TensorCode,
     h_cols = list(zip(*code.h_row.data))
     kernels = {}
     checked = 0
-    for pt, row_choices, masks, entries, walk in plan:
+    for pt, masks, entries, walk in plan:
         width = pt.v - b
-        for rows in row_choices:
-            for cols in combinations(range(t.n), pt.v):
-                entry_rows = []
-                for support in entries:
-                    key = tuple(cols[j] for j in support)
-                    vectors = kernels.get(key)
-                    if vectors is None:
-                        vectors = kernels[key] = _null_vectors(insert, h_cols, b, key)
-                    entry_rows += _truncated(vectors, support, b, width)
-                first = _walk(walk, entry_rows, insert)
-                if first == len(masks):
-                    checked += len(masks)
-                    continue
-                mask = masks[first]
-                e = ErasurePattern.of((rows[i], cols[j]) for i in range(pt.u)
-                                      for j in range(pt.v) if mask[i] >> (pt.v - 1 - j) & 1)
-                return CertReport("failed_pattern", e, restricted_rank(code, e),
-                                  checked + first + 1)
+        per_subset = len(masks) if dedupe_rows else type_orbit_count(pt)
+        for cols in combinations(range(t.n), pt.v):
+            entry_rows = []
+            for support in entries:
+                key = tuple(cols[j] for j in support)
+                vectors = kernels.get(key)
+                if vectors is None:
+                    vectors = kernels[key] = _null_vectors(insert, h_cols, b, key)
+                entry_rows += _truncated(vectors, support, b, width)
+            first = _walk(walk, entry_rows, insert)
+            if first == len(masks):
+                checked += per_subset
+                continue
+            mask = masks[first]
+            if not dedupe_rows:
+                first = _packed_orbit_masks(pt).index(mask)
+            e = ErasurePattern.of((i, cols[j]) for i in range(pt.u)
+                                  for j in range(pt.v) if mask[i] >> (pt.v - 1 - j) & 1)
+            return CertReport("failed_pattern", e, restricted_rank(code, e),
+                              checked + first + 1)
+        if not dedupe_rows:
+            checked += (comb(t.m, pt.u) - 1) * comb(t.n, pt.v) * per_subset
     return CertReport("certified", None, None, checked)
 
 

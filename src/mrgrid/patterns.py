@@ -12,10 +12,10 @@ column multiset to itself.  row_class_masks walks the prefix tree of the
 type's distinct column arrangements (at most v!) with G's cuts, which keep
 one arrangement per row-relabelling class, the least, and returns it with
 its rows sorted and packed as v-bit ints.  Every mask of the orbit is a row
-order of exactly one class's mask, so _packed_orbit_masks takes the
-distinct row orders of the class masks, which type_orbit_masks unpacks to
-0/1 tuples.  row_class_count and type_orbit_count give their lengths from
-G and the arrangement count alone, before any mask is built.
+order of exactly one class's mask.  _packed_orbit_masks takes their
+distinct row orders, which type_orbit_masks unpacks and a literal
+certify_mr searches for a failing class mask's index.  row_class_count and
+type_orbit_count count both from G and the arrangements, building no mask.
 """
 
 from __future__ import annotations

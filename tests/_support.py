@@ -247,19 +247,14 @@ def brute_row_class_masks(pt):
     return sorted({tuple(sorted(zip(*cols))) for cols in permutations(zip(*pt.mask))})
 
 
-def tuple_sweep_plan(m, b, n, dedupe_rows=True):
+def tuple_sweep_plan(m, b, n):
     """mr._sweep_plan built from 0/1-tuple masks, with the masks left as
-    tuples: each type's brute_row_class_masks (or its orbit masks), each
-    row's support read from its tuple, and the masks sorted by their kernel
-    row numbers with the prefix each shares with the one before it."""
+    tuples: each type's brute_row_class_masks, each row's support read from
+    its tuple, and the masks sorted by their kernel row numbers with the
+    prefix each shares with the one before it."""
     plan = []
     for pt in enumerate_types(m, b, n):
-        if dedupe_rows:
-            row_choices = (range(pt.u),)
-            masks = brute_row_class_masks(pt)
-        else:
-            row_choices = tuple(combinations(range(m), pt.u))
-            masks = type_orbit_masks(pt)
+        masks = brute_row_class_masks(pt)
         support = {row: tuple(j for j, x in enumerate(row) if x) for mask in masks for row in mask}
         entries = sorted(set(support.values()))
         starts = list(accumulate((len(s) - b for s in entries), initial=0))
@@ -274,7 +269,7 @@ def tuple_sweep_plan(m, b, n, dedupe_rows=True):
                 lcp += 1
             walk.append((k, lcp, ids[lcp:]))
             prev = ids
-        plan.append((pt, row_choices, tuple(masks), tuple(entries), tuple(walk)))
+        plan.append((pt, tuple(masks), tuple(entries), tuple(walk)))
     return tuple(plan)
 
 

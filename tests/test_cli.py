@@ -301,9 +301,10 @@ def _set(path, value):
     _set(["h_row", "rows"], 3), _set(["h_row", "cols"], 8), _set(["field"], {"p": 11, "k": 1}),
     # a boolean is not an integer, though each one here equals the value meant
     _set(["a"], True), _set(["h_col", "field", "k"], True), _set(["h_col", "rows"], True),
+    _set(["h_row", "data"], [[True] * 6, [pow(3, t, 7) for t in range(6)]]),
 ], ids=["m-str", "m-float", "h_row-list", "data-int", "rows-int", "p-str", "k-str",
         "field-int", "p-huge-prime", "h_row-rows", "h_row-cols", "code-field",
-        "a-true", "k-true", "h_col-rows-true"])
+        "a-true", "k-true", "h_col-rows-true", "data-true"])
 def test_malformed_code_file_is_usage_error(tmp_path, capsys, command, edit):
     code = edit(_geometric_code(4, 1).to_dict())
     f = tmp_path / "code.json"
@@ -329,7 +330,10 @@ def test_declared_shape_and_field_are_optional(tmp_path, capsys):
                                   {"entries": [[0] * 6] * 4, "erased": 5},
                                   {"entries": [[0] * 6] * 4, "erased": [[None, 0]]},
                                   {"entries": [[0] * 6] * 4, "erased": [[0, 0, 0]]},
-                                  {"entries": [[0] * 6] * 4, "erased": [[False, True]]}])
+                                  {"entries": [[0] * 6] * 4, "erased": [[False, True]]},
+                                  # a codeword but for its boolean, which equals the 1 meant
+                                  {"entries": [[True, None, 5, 0, 0, 0], [6, 6, 2, 0, 0, 0],
+                                               [0] * 6, [0] * 6]}])
 def test_malformed_word_file_is_usage_error(tmp_path, capsys, word):
     (tmp_path / "code.json").write_text(json.dumps(_geometric_code(4, 1).to_dict()))
     (tmp_path / "word.json").write_text(json.dumps(word))

@@ -330,9 +330,10 @@ def test_constructor_rejects_what_validate_rejects(q):
         with pytest.raises(ValueError) as exc:
             GFMatrix(spec, rows)
         assert str(exc.value) == _validate_message(spec, first)
-    # validate accepts bools (ints) and so does the constructor
-    m = GFMatrix(spec, [[True, 0], [False, q - 1]])
-    assert m.data == ((1, 0), (0, q - 1)) and rank(m) == 2
+    # a bool is not a field element, though it equals one
+    with pytest.raises(ValueError) as exc:
+        GFMatrix(spec, [[True, 0], [False, q - 1]])
+    assert str(exc.value) == _validate_message(spec, True) == f"True is not an element of {spec}"
     assert GFMatrix(spec, []).rows == 0 and GFMatrix(spec, [[], []]).cols == 0
     assert GFMatrix(spec, (iter(r) for r in [[1, 2], [3, 4]])).data == ((1, 2), (3, 4))
     with pytest.raises(ValueError, match="ragged rows"):

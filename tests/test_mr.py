@@ -410,12 +410,13 @@ def test_sweep_plan_cache_contract(certified_t46, certified_t37):
 def test_packed_sweep_plan_equals_the_tuple_plan(m, b, n, dedupe):
     # the plan keeps its masks packed; unpacked, they and the entries and
     # walks built from them are those of a plan built on 0/1-tuple masks,
-    # with the row classes found by set-dedupe over column arrangements
+    # with the row classes found by set-dedupe over column arrangements.
+    # The literal sweep walks the same classes, so both modes build one plan
     plan = mr._sweep_plan(m, b, n, dedupe, mr.DEFAULT_INSTANTIATION_CAP)
-    unpacked = tuple((pt, row_choices, tuple(unpack_mask(mask, pt.v) for mask in masks),
-                      entries, walk)
-                     for pt, row_choices, masks, entries, walk in plan)
-    assert unpacked == tuple_sweep_plan(m, b, n, dedupe)
+    unpacked = tuple((pt, tuple(unpack_mask(mask, pt.v) for mask in masks), entries, walk)
+                     for pt, masks, entries, walk in plan)
+    assert unpacked == tuple_sweep_plan(m, b, n)
+    assert plan == mr._sweep_plan(m, b, n, True, mr.DEFAULT_INSTANTIATION_CAP)
 
 
 def test_sweep_plan_does_not_cache_a_resource_guard(certified_t46):
@@ -536,17 +537,19 @@ def test_kernel_verdict_matches_the_direct_rank_on_every_class(m, b, n, orders):
 
 
 def test_literal_sweep_matches_the_direct_rank_on_unused_grid_rows():
-    # dedupe_rows=False places every E0 orbit mask on every 3 of the 4 grid rows
-    topo = Topology(4, 6, 1, 3)
+    # dedupe_rows=False counts every orbit mask on every choice of grid rows:
+    # E0 on every 3 of 4 rows, and on T_5x6(1,2,0) a Type II failure once
+    # Type I has passed on all 5 choices of 4 rows
     verdicts = []
-    for q in (13, 16, 17):
+    for m, b, q in ((4, 3, 13), (4, 3, 16), (4, 3, 17), (5, 2, 13)):
         rng = random.Random(q)
         s = spec_for_order(q)
-        code = TensorCode(topo, random_nonzero_row(s, 4, rng), random_mds_rows(s, 3, 6, rng))
+        code = TensorCode(Topology(m, 6, 1, b), random_nonzero_row(s, m, rng),
+                          random_mds_rows(s, b, 6, rng))
         embeddings = (ErasurePattern.of((rows[i], cols[j]) for i in range(pt.u)
                                         for j in range(pt.v) if mask[i][j])
-                      for pt in enumerate_types(4, 3) if pt.v <= 6
-                      for rows in combinations(range(4), pt.u)
+                      for pt in enumerate_types(m, b, 6)
+                      for rows in combinations(range(m), pt.u)
                       for cols in combinations(range(6), pt.v)
                       for mask in type_orbit_masks(pt))
         rep = certify_mr(code, dedupe_rows=False)
@@ -554,7 +557,7 @@ def test_literal_sweep_matches_the_direct_rank_on_unused_grid_rows():
                rep.patterns_checked)
         assert got == _direct_report(code, embeddings)
         verdicts.append(rep.verdict)
-    assert verdicts == ["failed_pattern", "failed_pattern", "certified"]
+    assert verdicts == ["failed_pattern", "failed_pattern", "certified", "failed_pattern"]
 
 
 # ----------------------------------------------------------------------
