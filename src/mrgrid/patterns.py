@@ -12,10 +12,9 @@ column multiset to itself.  row_class_masks walks the prefix tree of the
 type's distinct column arrangements (at most v!) with G's cuts, which keep
 one arrangement per row-relabelling class, the least, and returns it with
 its rows sorted and packed as v-bit ints.  Every mask of the orbit is a row
-order of exactly one class's mask.  _packed_orbit_masks takes their
-distinct row orders, which type_orbit_masks unpacks and a literal
-certify_mr searches for a failing class mask's index.  row_class_count and
-type_orbit_count count both from G and the arrangements, building no mask.
+order of exactly one class's mask, so type_orbit_masks takes their distinct
+row orders.  row_class_count counts the classes from G and the
+arrangements, building no mask.
 """
 
 from __future__ import annotations
@@ -326,12 +325,12 @@ def enumerate_types(m: int, b: int, max_v: int | None = None) -> list[PatternTyp
 
 
 def _row_symmetry(pt: PatternType) -> tuple:
-    """(kinds, left, arrangements, group, order): pt's distinct columns in
+    """(kinds, left, arrangements, group): pt's distinct columns in
     lexicographic order, their multiplicities and the number of distinct
     column orderings; then the group G of row permutations that map the
     column multiset to itself, as the permutations of the indices in kinds
-    that it makes (less the identity), and its size.  Raises ResourceGuard
-    when the arrangements, then u!, exceed ENUMERATION_GUARD.
+    that it makes (less the identity).  Raises ResourceGuard when the
+    arrangements, then u!, exceed ENUMERATION_GUARD.
     """
     counts = Counter(zip(*pt.mask))
     kinds = sorted(counts)
@@ -347,23 +346,21 @@ def _row_symmetry(pt: PatternType) -> tuple:
     index = {col: c for c, col in enumerate(kinds)}
     rows = list(zip(*kinds))
     group = set()
-    order = 0
     for p in permutations(range(pt.u)):
         # the images are distinct, so p maps the multiset to itself when each
         # has its preimage's multiplicity (a Counter reads 0 off the multiset)
         image = list(zip(*map(rows.__getitem__, p)))
         if list(map(counts.__getitem__, image)) == left:
-            order += 1
             group.add(tuple(map(index.__getitem__, image)))
     group.discard(tuple(range(len(kinds))))
-    return kinds, left, arrangements, group, order
+    return kinds, left, arrangements, group
 
 
 def row_class_count(pt: PatternType) -> int:
     """len(row_class_masks(pt)), with its guards, from G alone: G permutes
     the kinds freely on the arrangements (a permutation that fixes one fixes
     each of its columns), so each class holds len(group) + 1 of them."""
-    _, _, arrangements, group, _ = _row_symmetry(pt)
+    _, _, arrangements, group = _row_symmetry(pt)
     return arrangements // (len(group) + 1)
 
 
@@ -381,7 +378,7 @@ def row_class_masks(pt: PatternType) -> list[tuple]:
     least arrangement.
     """
     u, v = pt.u, pt.v
-    kinds, left, _, group, _ = _row_symmetry(pt)
+    kinds, left, _, group = _row_symmetry(pt)
     # a column's cells at the low bit of each row's v-bit field
     spread = [sum(1 << (i * v) for i in range(u) if col[i]) for col in kinds]
     full = (1 << v) - 1
@@ -409,35 +406,12 @@ def row_class_masks(pt: PatternType) -> list[tuple]:
     return sorted(found)
 
 
-def _orbit_guard(pt: PatternType):
-    size = factorial(pt.u) * factorial(pt.v)
-    if size > ENUMERATION_GUARD:
-        raise ResourceGuard(f"orbit size exceeds cap: u!*v! = {size}, guard {ENUMERATION_GUARD}")
-
-
-def type_orbit_count(pt: PatternType) -> int:
-    """len(type_orbit_masks(pt)), with its guard, from G alone: row orders
-    p, p' put arrangements A, A' on one mask exactly when p'^-1 p lies in G
-    and maps A to A', so each mask comes from |G| of the pairs."""
-    _orbit_guard(pt)
-    _, _, arrangements, _, order = _row_symmetry(pt)
-    return factorial(pt.u) * arrangements // order
-
-
-def _packed_orbit_masks(pt: PatternType) -> list[tuple]:
-    """All distinct masks reachable from pt by row/column permutations,
-    sorted, each row a v-bit int with column 0 the most significant bit:
-    the distinct row orders of each row class's mask (every mask of the
-    orbit is a row order of exactly one of them).
-    """
-    _orbit_guard(pt)
-    return sorted(chain.from_iterable(set(permutations(rows)) for rows in row_class_masks(pt)))
-
-
 def type_orbit_masks(pt: PatternType) -> list[tuple]:
-    """All distinct masks reachable from pt by row/column permutations, sorted:
-    _packed_orbit_masks with 0/1 row tuples (int order is tuple order)."""
-    masks = _packed_orbit_masks(pt)
+    """All distinct masks reachable from pt by row/column permutations,
+    sorted: the distinct row orders of each row class's mask (every mask of
+    the orbit is a row order of exactly one of them), with 0/1 row tuples
+    (int order is tuple order)."""
+    masks = sorted(chain.from_iterable(set(permutations(rows)) for rows in row_class_masks(pt)))
     v = pt.v
     bits = {row: tuple(row >> (v - 1 - j) & 1 for j in range(v))
             for row in set(chain.from_iterable(masks))}

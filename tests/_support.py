@@ -5,7 +5,8 @@ import time
 from itertools import accumulate, chain, combinations, combinations_with_replacement, permutations
 from math import factorial
 
-from mrgrid import ErasurePattern, GFMatrix, PatternType, TensorCode, Topology, search_mr
+from mrgrid import (ErasurePattern, GFMatrix, PatternType, TensorCode, Topology,
+                    is_correctable_by, search_mr)
 from mrgrid.errors import MrGridError, ResourceGuard
 # the field-order sweeps of the tests are the ones the CLI search uses
 from mrgrid.galois import prime_powers_upto, spec_for_order
@@ -164,14 +165,35 @@ def class_pattern(u, key) -> ErasurePattern:
     return ErasurePattern.of((i, j) for j, t in enumerate(key) for i in col_types[t])
 
 
-def instantiate_type(pt, m, n) -> list:
-    """Every embedding of pt into the m x n grid: each orbit mask on each
-    choice of pt.u rows and pt.v columns."""
-    return [ErasurePattern.of((rows[i], cols[j]) for i in range(pt.u) for j in range(pt.v)
-                              if mask[i][j])
-            for rows in combinations(range(m), pt.u)
-            for cols in combinations(range(n), pt.v)
-            for mask in type_orbit_masks(pt)]
+def instantiate_type(pt, m, n):
+    """Every embedding of pt into the m x n grid, lazily and in literal
+    order: each choice of pt.u grid rows, then of pt.v columns, then each
+    mask of type_orbit_masks."""
+    masks = type_orbit_masks(pt)
+    for rows in combinations(range(m), pt.u):
+        for cols in combinations(range(n), pt.v):
+            for mask in masks:
+                yield ErasurePattern.of((rows[i], cols[j]) for i in range(pt.u)
+                                        for j in range(pt.v) if mask[i][j])
+
+
+def literal_embeddings(m, b, n):
+    """Every embedding of every type of T_{m x n}(1, b, 0), lazily: the
+    types in enumerate_types order, each with instantiate_type's order."""
+    return chain.from_iterable(instantiate_type(pt, m, n) for pt in enumerate_types(m, b, n))
+
+
+def direct_report(code, embeddings):
+    """(verdict, counterexample, count) of a pattern sweep with the direct
+    rank (is_correctable_by, method="direct") as its only predicate: the
+    first embedding that fails and how many were checked up to it, or
+    "certified" and how many there were."""
+    checked = 0
+    for e in embeddings:
+        checked += 1
+        if not is_correctable_by(code, e, method="direct"):
+            return ("failed_pattern", e.to_list(), checked)
+    return ("certified", None, checked)
 
 
 def brute_enumerate_types(m, b):

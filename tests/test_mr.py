@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from mrgrid import (ErasurePattern, FieldSpec, GFMatrix,
+from mrgrid import (FieldSpec, GFMatrix,
                     TensorCode, Topology, attack_t3, attack_t4, build_pseudo_parity,
                     certify_mr, every_w_columns_independent, find_sum_collision,
                     is_correctable_by, is_irreducible, is_regular, primitive_element,
@@ -15,10 +15,11 @@ from mrgrid.gfmatrix import row_inserter
 from mrgrid import mr
 from mrgrid.mr import (E0_MASK, TYPE_II_MASK, _disjoint_edges, _greedy_values, _null_vectors,
                        _sorted_walk, _truncated, _walk)
-from mrgrid.patterns import enumerate_types, row_class_masks, type_orbit_masks
-from _support import (TYPE_I_MASK, brute_echelon, brute_greedy_values, canonical_type, f_t3,
-                      f_t4, first_certified, five_subset_greedy_values, is_two_sidon,
-                      leibniz_determinant, mask_pattern, prime_powers_upto,
+from mrgrid.patterns import enumerate_types, row_class_masks
+from _support import (TYPE_I_MASK, brute_echelon, brute_greedy_values, canonical_type,
+                      direct_report, f_t3, f_t4, first_certified, five_subset_greedy_values,
+                      is_two_sidon, leibniz_determinant, literal_embeddings, mask_pattern,
+                      prime_powers_upto,
                       q_below_t3_threshold, q_below_t4_threshold, random_mds_rows,
                       random_nonzero_row, simple_code, spec_for_order, tuple_sweep_plan,
                       unpack_mask, zero_under_some_permutation)
@@ -359,16 +360,30 @@ def test_certify_counterexample_invariants():
     assert rank(h.restrict_columns(cols)) == rep.rank_found < len(e.cells)
 
 
+def _literal_oracle(code):
+    """(report, count): certify_mr's report of code, after checking that
+    either dedupe_rows value gives it and that its verdict and counterexample
+    are those of the direct rank of every embedding in literal order (type,
+    grid rows, columns, orbit mask); count is how many embeddings that
+    sweep checked."""
+    t = code.topology
+    verdict, counterexample, count = direct_report(code, literal_embeddings(t.m, t.b, t.n))
+    rep = certify_mr(code)
+    assert certify_mr(code, dedupe_rows=False) == rep
+    assert (rep.verdict, rep.counterexample and rep.counterexample.to_list()) == (
+        verdict, counterexample)
+    return rep, count
+
+
 def test_certify_dedupe_matches_full_enumeration(certified_t46):
+    # T_4x6(1,2,0): 75 row classes of Type I and Type II, 1800 embeddings
     code, _, _ = certified_t46
-    full = certify_mr(code, dedupe_rows=False)
-    dedup = certify_mr(code, dedupe_rows=True)
-    assert full.verdict == dedup.verdict == "certified"
-    assert full.patterns_checked == 1800 and dedup.patterns_checked == 75
+    rep, count = _literal_oracle(code)
+    assert (rep.verdict, rep.patterns_checked, count) == ("certified", 75, 1800)
     s = FieldSpec(7)
     bad = simple_code(s, 4, 6, 2, [pow(3, t, 7) for t in range(6)])
-    assert (certify_mr(bad, dedupe_rows=False).verdict
-            == certify_mr(bad, dedupe_rows=True).verdict == "failed_pattern")
+    rep, count = _literal_oracle(bad)
+    assert (rep.verdict, rep.patterns_checked, count) == ("failed_pattern", 46, 1081)
 
 
 def test_certify_resource_guard():
@@ -396,12 +411,15 @@ def test_sweep_plan_cache_contract(certified_t46, certified_t37):
         mr._sweep_plan.cache_clear()
         cold.append(certify_mr(code, dedupe_rows=dedupe))
     assert [r.verdict for r in cold] == ["certified", "failed_pattern"] * 4
+    # dedupe_rows is ignored: both modes give one report
+    assert cold[4:] == cold[:2] * 2
     mr._sweep_plan.cache_clear()
     warm = [certify_mr(code, dedupe_rows=dedupe) for code, dedupe in calls]
     assert warm == cold
-    # one miss per change of shape or mode; the plan of the last one is kept
+    # one miss per change of shape, whatever the mode; the plan of the last
+    # one is kept
     info = mr._sweep_plan.cache_info()
-    assert (info.hits, info.misses, info.maxsize, info.currsize) == (4, 4, 1, 1)
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (5, 3, 1, 1)
 
 
 @pytest.mark.parametrize("m,b,n,dedupe", [(4, 2, 8, True), (3, 3, 8, True), (4, 3, 8, True),
@@ -411,12 +429,19 @@ def test_packed_sweep_plan_equals_the_tuple_plan(m, b, n, dedupe):
     # the plan keeps its masks packed; unpacked, they and the entries and
     # walks built from them are those of a plan built on 0/1-tuple masks,
     # with the row classes found by set-dedupe over column arrangements.
-    # The literal sweep walks the same classes, so both modes build one plan
-    plan = mr._sweep_plan(m, b, n, dedupe, mr.DEFAULT_INSTANTIATION_CAP)
+    # certify_mr builds it from the shape alone, in either mode, before the
+    # MDS check, which a zero column-parity coefficient then fails
+    s = FieldSpec(1009)
+    h_row = GFMatrix(s, [[pow(x, k, 1009) for x in range(1, n + 1)] for k in range(b)])
+    code = TensorCode(Topology(m, n, 1, b), GFMatrix(s, [[0] + [1] * (m - 1)]), h_row)
+    mr._sweep_plan.cache_clear()
+    assert certify_mr(code, dedupe_rows=dedupe).verdict == "failed_mds"
+    plan = mr._sweep_plan(m, b, n, mr.DEFAULT_INSTANTIATION_CAP)
+    info = mr._sweep_plan.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
     unpacked = tuple((pt, tuple(unpack_mask(mask, pt.v) for mask in masks), entries, walk)
                      for pt, masks, entries, walk in plan)
     assert unpacked == tuple_sweep_plan(m, b, n)
-    assert plan == mr._sweep_plan(m, b, n, True, mr.DEFAULT_INSTANTIATION_CAP)
 
 
 def test_sweep_plan_does_not_cache_a_resource_guard(certified_t46):
@@ -440,12 +465,11 @@ def test_cap_is_checked_before_any_mask_is_built(certified_t46, monkeypatch):
         raise AssertionError(f"masks of {pt} built before the cap check")
 
     monkeypatch.setattr(mr, "row_class_masks", built)
-    monkeypatch.setattr(mr, "_packed_orbit_masks", built)
     mr._sweep_plan.cache_clear()
-    with pytest.raises(ResourceGuard, match="75 pattern classes exceed cap 10"):
-        certify_mr(code, instantiation_cap=10)
-    with pytest.raises(ResourceGuard, match="1800 pattern instantiations exceed cap 10"):
-        certify_mr(code, instantiation_cap=10, dedupe_rows=False)
+    # both modes count the classes
+    for dedupe in (True, False):
+        with pytest.raises(ResourceGuard, match="^75 pattern classes exceed cap 10$"):
+            certify_mr(code, instantiation_cap=10, dedupe_rows=dedupe)
 
 
 def test_cap_is_checked_before_the_mds_check(certified_t46, monkeypatch):
@@ -503,16 +527,6 @@ def _kernel_classes(code):
                 yield e, rank(reduce_restricted(code, e)) == len(e.cells) - pt.v
 
 
-def _direct_report(code, embeddings):
-    """certify_mr's pattern sweep with the direct rank as the only predicate."""
-    checked = 0
-    for e in embeddings:
-        checked += 1
-        if not is_correctable_by(code, e, method="direct"):
-            return ("failed_pattern", e.to_list(), checked)
-    return ("certified", None, checked)
-
-
 @pytest.mark.parametrize("m,b,n,orders", [(4, 2, 7, (7, 8)), (3, 3, 7, (7, 8)),
                                           (4, 3, 7, (7, 8)), (3, 4, 8, (8, 11))])
 def test_kernel_verdict_matches_the_direct_rank_on_every_class(m, b, n, orders):
@@ -532,32 +546,32 @@ def test_kernel_verdict_matches_the_direct_rank_on_every_class(m, b, n, orders):
         assert rep.verdict != "failed_mds"
         got = (rep.verdict, rep.counterexample and rep.counterexample.to_list(),
                rep.patterns_checked)
-        assert got == _direct_report(code, [e for e, _ in classes])
+        assert got == direct_report(code, [e for e, _ in classes])
     assert verdicts == {True, False}
 
 
 def test_literal_sweep_matches_the_direct_rank_on_unused_grid_rows():
-    # dedupe_rows=False counts every orbit mask on every choice of grid rows:
+    # the direct rank takes every orbit mask on every choice of grid rows:
     # E0 on every 3 of 4 rows, and on T_5x6(1,2,0) a Type II failure once
-    # Type I has passed on all 5 choices of 4 rows
-    verdicts = []
+    # Type I has passed on all 5 choices of 4 rows.  The last code is a
+    # failing T_3x8(1,4,0) code over GF(41) whose walk meets a failing mask
+    # in sorted order before the first failing one in mask order
+    codes = []
     for m, b, q in ((4, 3, 13), (4, 3, 16), (4, 3, 17), (5, 2, 13)):
         rng = random.Random(q)
         s = spec_for_order(q)
-        code = TensorCode(Topology(m, 6, 1, b), random_nonzero_row(s, m, rng),
-                          random_mds_rows(s, b, 6, rng))
-        embeddings = (ErasurePattern.of((rows[i], cols[j]) for i in range(pt.u)
-                                        for j in range(pt.v) if mask[i][j])
-                      for pt in enumerate_types(m, b, 6)
-                      for rows in combinations(range(m), pt.u)
-                      for cols in combinations(range(6), pt.v)
-                      for mask in type_orbit_masks(pt))
-        rep = certify_mr(code, dedupe_rows=False)
-        got = (rep.verdict, rep.counterexample and rep.counterexample.to_list(),
-               rep.patterns_checked)
-        assert got == _direct_report(code, embeddings)
-        verdicts.append(rep.verdict)
-    assert verdicts == ["failed_pattern", "failed_pattern", "certified", "failed_pattern"]
+        codes.append(TensorCode(Topology(m, 6, 1, b), random_nonzero_row(s, m, rng),
+                                random_mds_rows(s, b, 6, rng)))
+    s = FieldSpec(41)
+    codes.append(TensorCode(Topology(3, 8, 1, 4), GFMatrix(s, [[9, 36, 2]]),
+                            GFMatrix(s, [[24, 21, 14, 10, 24, 36, 18, 35],
+                                         [17, 24, 36, 0, 15, 1, 28, 9],
+                                         [9, 20, 10, 16, 39, 37, 3, 7],
+                                         [37, 2, 27, 18, 13, 4, 23, 30]])))
+    got = [(rep.verdict, rep.patterns_checked, count)
+           for rep, count in map(_literal_oracle, codes)]
+    assert got == [("failed_pattern", 5, 8), ("failed_pattern", 10, 19), ("certified", 15, 360),
+                   ("failed_pattern", 53, 5438), ("failed_pattern", 127, 667)]
 
 
 # ----------------------------------------------------------------------
@@ -934,21 +948,16 @@ def test_search_rejects_unknown_shapes():
 
 
 def test_certify_dedupe_with_unused_grid_rows():
-    # u = 4 types certified inside a 5-row grid: the row-relabeling classes
-    # must agree with the literal sweep over all C(5,4) row choices
+    # u = 4 types inside a 5-row grid: the row-relabeling classes must agree
+    # with the direct rank over all C(5,4) row choices, 9000 embeddings in all
+    assert sum(1 for _ in literal_embeddings(5, 2, 6)) == 9000
     s = FieldSpec(13)
     h_row = GFMatrix(s, [[1] * 6, [1, 2, 3, 5, 9, 11]])
     code = TensorCode(Topology(5, 6, 1, 2), GFMatrix(s, [[1] * 5]), h_row)
-    dedup = certify_mr(code, dedupe_rows=True)
-    full = certify_mr(code, dedupe_rows=False)
-    assert dedup.verdict == full.verdict
-    if dedup.verdict == "failed_pattern":
-        topo = code.topology
-        for rep in (dedup, full):
-            assert is_regular(topo, rep.counterexample)
-            assert rep.rank_found < len(rep.counterexample.cells)
-    else:
-        assert (dedup.patterns_checked, full.patterns_checked) == (75, 9000)
+    rep, count = _literal_oracle(code)
+    assert (rep.verdict, rep.patterns_checked, count) == ("failed_pattern", 50, 5409)
+    assert is_regular(code.topology, rep.counterexample)
+    assert rep.rank_found < len(rep.counterexample.cells)
 
 
 def test_certify_dedupe_matches_literal_sweep_t4x6_b3():
@@ -957,14 +966,10 @@ def test_certify_dedupe_matches_literal_sweep_t4x6_b3():
     topo = Topology(4, 6, 1, 3)
     bad = simple_code(FieldSpec(13), 4, 6, 3, [0, 1, 3, 7, 9, 12])
     good = simple_code(FieldSpec(1009), 4, 6, 3, [3, 17, 101, 444, 700, 958])
-    reports = {(code, dedupe): certify_mr(code, dedupe_rows=dedupe)
-               for code in (bad, good) for dedupe in (True, False)}
-    for dedupe in (True, False):
-        rep = reports[bad, dedupe]
-        assert rep.verdict == "failed_pattern"
-        e = rep.counterexample
-        assert is_regular(topo, e) and is_irreducible(topo, e)
-        assert not is_correctable_by(bad, e, method="direct")
-        assert rep.rank_found < len(e.cells)
-    assert reports[good, True].verdict == reports[good, False].verdict == "certified"
-    assert (reports[good, True].patterns_checked, reports[good, False].patterns_checked) == (15, 360)
+    rep, count = _literal_oracle(bad)
+    assert (rep.verdict, rep.patterns_checked, count) == ("failed_pattern", 11, 20)
+    e = rep.counterexample
+    assert is_regular(topo, e) and is_irreducible(topo, e)
+    assert rep.rank_found < len(e.cells)
+    rep, count = _literal_oracle(good)
+    assert (rep.verdict, rep.patterns_checked, count) == ("certified", 15, 360)
