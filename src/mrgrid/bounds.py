@@ -99,22 +99,33 @@ def _need(params: dict, *names):
     return [params[x] for x in names]
 
 
+_LEAST = {"m": 1, "b": 0, "n": 1, "N": 1}  # the domain of each integer parameter
+
+
+def _need_domain(name: str, params: dict, *names):
+    """_need, then ValueError naming the domain when a value is below its
+    least value in _LEAST."""
+    values = _need(params, *names)
+    if any(x < _LEAST[k] for k, x in zip(names, values)):
+        *rest, last = (f"{k} >= {_LEAST[k]}" for k in names)
+        needs = f"{', '.join(rest)} and {last}" if rest else last
+        got = ", ".join(f"{k} = {x}" for k, x in zip(names, values))
+        raise ValueError(f"{name} needs {needs}, got {got}")
+    return values
+
+
 def bound(name: str, params: dict) -> BoundReport:
     """Evaluate a named field-size bound; see BOUND_NAMES for the catalogue.
     A value too long to print is refused, by an estimate before it is built."""
     if name == "gopalan_general":
-        m, b, n = _need(params, "m", "b", "n")
+        m, b, n = _need_domain(name, params, "m", "b", "n")
         redundancy = n + b * m - b
-        if redundancy >= 1 and m * n >= 0:
-            _too_long(name, math.log10(redundancy) + _log10_comb_le(m * n, redundancy))
+        _too_long(name, math.log10(redundancy) + _log10_comb_le(m * n, redundancy))
         value = redundancy * comb_le(m * n, redundancy)
         return BoundReport(name, params, value, _approx(value),
                            "q above this admits an MR instantiation of any topology")
     if name == "kmg_poly":
-        m, b, n = _need(params, "m", "b", "n")
-        if not (m >= 1 and b >= 0 and n >= 1):
-            raise ValueError(f"kmg_poly needs m >= 1, b >= 0 and n >= 1, "
-                             f"got m = {m}, b = {b}, n = {n}")
+        m, b, n = _need_domain(name, params, "m", "b", "n")
         k = min(2 * b * (m - 1), _CAP)  # (m+1)! * comb_le(...) * n^k is a lower bound
         _too_long(name, math.lgamma(min(m, _CAP) + 2) / math.log(10)
                   + _log10_comb_le(m * b * (m - 1), k) + k * math.log10(n))
@@ -135,29 +146,28 @@ def bound(name: str, params: dict) -> BoundReport:
         return BoundReport(name, params, {"formula": "C*n^5/log(n)", "C": c},
                            approx, "existence threshold up to the unspecified constant")
     if name == "t4_lower_threshold":
-        (n,) = _need(params, "n")
+        (n,) = _need_domain(name, params, "n")
         value = Fraction((n - 3) ** 2, 4) + 2
         if value.denominator == 1:
             value = int(value)
         return BoundReport(name, params, value, _approx(value),
                            "q below (n-3)^2/4 + 2 admits no MR code for T_{4 x n}(1,2,0)")
     if name == "t3_lower_threshold":
-        (n,) = _need(params, "n")
+        (n,) = _need_domain(name, params, "n")
         radicand = n * n - 11 * n + 34  # (n - 5.5)^2 + 3.75 > 0
         rad_float = _approx(radicand)
         return BoundReport(name, params, {"radicand": radicand, "divisor": 2},
                            None if rad_float is None else math.sqrt(rad_float) / 2,
                            "q below sqrt(n^2-11n+34)/2 admits no MR code for T_{3 x n}(1,3,0)")
     if name == "sidon_max":
-        (N,) = _need(params, "N")
+        (N,) = _need_domain(name, params, "N")
         n_float = _approx(N)
         return BoundReport(name, params, {"radicand": 4 * N, "divisor": 1, "offset": 1},
                            None if n_float is None else 2 * math.sqrt(n_float) + 1,
                            "a 2-Sidon subset of Z_N has at most 2*sqrt(N) + 1 elements")
     if name == "type_count":
-        m, b = _need(params, "m", "b")
-        if m >= 1 and b >= 0:
-            _too_long(name, _log10_comb_le(m * b * (m - 1), 2 * b * (m - 1)))
+        m, b = _need_domain(name, params, "m", "b")
+        _too_long(name, _log10_comb_le(m * b * (m - 1), 2 * b * (m - 1)))
         value = comb_le(m * b * (m - 1), 2 * b * (m - 1))
         return BoundReport(name, params, value, _approx(value),
                            "upper bound on the number of regular irreducible pattern types")

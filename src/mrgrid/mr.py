@@ -57,8 +57,8 @@ class CertReport:
 
     def to_dict(self) -> dict:
         return {"verdict": self.verdict,
-                "counterexample": (self.counterexample.to_list()
-                                   if self.counterexample else None),
+                "counterexample": (None if self.counterexample is None
+                                   else self.counterexample.to_list()),
                 "rank_found": self.rank_found,
                 "patterns_checked": self.patterns_checked}
 
@@ -284,61 +284,51 @@ def find_difference_collision(gammas: dict, spec: FieldSpec):
 
 def _sorted_walk(b: int, v: int, masks) -> tuple[list, list]:
     """(entries, walk): the distinct rows of the masks, each as its column
-    support, and each mask as (k, lcp, suffix) in sorted order.
+    support, and each mask as (lcp, suffix), in the masks' order.
 
-    A mask is a tuple of rows, each a v-bit int with column 0 the most
-    significant bit (as row_class_masks packs them).  A row with support C
-    has |C| - b kernel rows (see _null_vectors), and the entries' kernel
-    rows are numbered in entry order.  Each mask's rows are sorted by their
-    index in entries, and the masks are sorted as tuples of their kernel row
-    numbers; k is the mask's index in masks, and suffix lists its kernel
-    rows past the prefix of length lcp that it shares with the previous mask.
+    A mask is a sorted tuple of rows, each a v-bit int with column 0 the
+    most significant bit, and the masks are sorted (as row_class_masks
+    returns them).  A row with support C has |C| - b >= 1 kernel rows (see
+    _null_vectors), numbered in ascending row order, the order of entries.
+    So each mask's kernel rows come in ascending order, and the masks, in
+    their own order, are sorted by their kernel rows; suffix lists a mask's
+    kernel rows past the prefix of length lcp that it shares with the
+    previous mask.
     """
-    columns = range(v)
-    support = {row: tuple(j for j in columns if row >> (v - 1 - j) & 1)
-               for row in set(chain.from_iterable(masks))}
-    entries = sorted(support.values())
+    rows = sorted(set(chain.from_iterable(masks)))
+    entries = [tuple(j for j in range(v) if row >> (v - 1 - j) & 1) for row in rows]
     starts = accumulate((len(s) - b for s in entries), initial=0)
-    numbers = {s: tuple(range(a, a + len(s) - b)) for s, a in zip(entries, starts)}
-    row_numbers = {row: numbers[s] for row, s in support.items()}
+    numbers = {row: range(a, a + len(s) - b) for row, s, a in zip(rows, entries, starts)}
     walk = []
     prev = ()
-    for ids, k in sorted((tuple(chain.from_iterable(sorted(map(row_numbers.get, mask)))), k)
-                         for k, mask in enumerate(masks)):
+    for mask in masks:
+        ids = tuple(chain.from_iterable(map(numbers.__getitem__, mask)))
         lcp = 0
         for x, y in zip(prev, ids):
             if x != y:
                 break
             lcp += 1
-        walk.append((k, lcp, ids[lcp:]))
+        walk.append((lcp, ids[lcp:]))
         prev = ids
     return entries, walk
 
 
 def _walk(walk, entry_rows, insert) -> int:
-    """The least mask index k whose kernel rows in walk are dependent, else
-    len(walk), the number of masks.
+    """The index of the first step of walk whose kernel rows are dependent,
+    else len(walk).
 
-    One echelon basis serves the walk: each mask truncates it to the prefix
-    it shares with the previous mask and inserts its own rows with insert
-    (gfmatrix.row_inserter).  A row that reduces to zero ends its mask and
-    leaves None at its depth d in the basis; every later mask whose lcp
-    exceeds d keeps that None, shares the dependent row and fails with no
-    elimination, and the first mask with a shorter lcp drops it.
+    One echelon basis serves the walk: each step truncates it to the prefix
+    it shares with the previous step, which is independent, and inserts its
+    own rows with insert (gfmatrix.row_inserter).  A row that reduces to
+    zero ends the walk.
     """
     basis = []
-    first = len(walk)
-    for k, lcp, suffix in walk:
+    for k, (lcp, suffix) in enumerate(walk):
         del basis[lcp:]
-        if basis and basis[-1] is None:
-            first = min(first, k)
-            continue
         for e in suffix:
             if not insert(basis, entry_rows[e]):
-                basis.append(None)
-                first = min(first, k)
-                break
-    return first
+                return k
+    return len(walk)
 
 
 def _null_vectors(insert, h_cols, b: int, columns) -> list:
@@ -427,21 +417,20 @@ def certify_mr(code: TensorCode,
     They depend on the row supports alone, so which grid rows E uses, their
     order and the alphas drop out.  Every type is irreducible, so the sweep
     skips that test.  The types that fit in n columns, their masks and
-    sorted walks depend on the shape alone and come from _sweep_plan, built
+    walks depend on the shape alone and come from _sweep_plan, built
     once per shape and first, so its guards refuse a shape over the cap
     before the MDS check; the null vectors depend on the support's columns
     in the grid alone and are built once per call.
 
     Row order does not change a rank, so the masks of one type are checked
-    together on each column subset, in one pass: _sorted_walk sorts each
-    mask's rows, sorts the masks, and keeps for each its mask index and the
-    kernel rows of the prefix it shares with the previous one; _walk runs
-    one echelon basis through them with gfmatrix.row_inserter, the
-    package's one elimination, which normalises no pivot, and returns the
-    least mask index that fails.  So the verdict, the first rank-deficient
-    instantiation in mask order and patterns_checked are those of a
-    mask-by-mask sweep.  The counterexample is reported with the rank of
-    the pseudo-parity matrix restricted to it.
+    together on each column subset, in one pass: _sorted_walk keeps for
+    each mask, in mask order, the kernel rows past the prefix it shares
+    with the previous one; _walk runs one echelon basis through them with
+    gfmatrix.row_inserter, the package's one elimination, which normalises
+    no pivot, and stops at the first mask that fails.  So the verdict, the
+    first rank-deficient instantiation in mask order and patterns_checked
+    are those of a mask-by-mask sweep.  The counterexample is reported with
+    the rank of the pseudo-parity matrix restricted to it.
     """
     t = code.topology
     if t.a != 1:

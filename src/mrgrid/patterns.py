@@ -64,12 +64,6 @@ class ErasurePattern:
     def of(cls, cells) -> "ErasurePattern":
         return cls(frozenset((int(i), int(j)) for i, j in cells))
 
-    def __len__(self):
-        return len(self.cells)
-
-    def __iter__(self):
-        return iter(sorted(self.cells))
-
     @property
     def rows_used(self) -> tuple:
         return tuple(sorted({i for i, _ in self.cells}))

@@ -271,25 +271,25 @@ def brute_row_class_masks(pt):
 
 def tuple_sweep_plan(m, b, n):
     """mr._sweep_plan built from 0/1-tuple masks, with the masks left as
-    tuples: each type's brute_row_class_masks, each row's support read from
-    its tuple, and the masks sorted by their kernel row numbers with the
-    prefix each shares with the one before it."""
+    tuples: each type's brute_row_class_masks, the distinct rows in 0/1-tuple
+    order with each row's support read from its tuple, and each mask, in
+    mask order, as its kernel row numbers past the prefix it shares with the
+    mask before it."""
     plan = []
     for pt in enumerate_types(m, b, n):
         masks = brute_row_class_masks(pt)
-        support = {row: tuple(j for j, x in enumerate(row) if x) for mask in masks for row in mask}
-        entries = sorted(set(support.values()))
+        rows = sorted({row for mask in masks for row in mask})
+        entries = [tuple(j for j, x in enumerate(row) if x) for row in rows]
         starts = list(accumulate((len(s) - b for s in entries), initial=0))
-        numbers = {s: tuple(range(starts[i], starts[i + 1])) for i, s in enumerate(entries)}
-        keyed = sorted((tuple(chain.from_iterable(sorted(numbers[support[row]] for row in mask))), k)
-                       for k, mask in enumerate(masks))
+        numbers = {row: tuple(range(starts[i], starts[i + 1])) for i, row in enumerate(rows)}
         walk = []
         prev = ()
-        for ids, k in keyed:
+        for mask in masks:
+            ids = sum((numbers[row] for row in mask), ())
             lcp = 0
             while lcp < min(len(prev), len(ids)) and prev[lcp] == ids[lcp]:
                 lcp += 1
-            walk.append((k, lcp, ids[lcp:]))
+            walk.append((lcp, ids[lcp:]))
             prev = ids
         plan.append((pt, tuple(masks), tuple(entries), tuple(walk)))
     return tuple(plan)

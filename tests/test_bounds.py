@@ -21,10 +21,32 @@ def test_kmg_poly_at_b_zero_is_exact():
     assert rep.to_dict()["value"] == {"numerator": "19", "denominator": "3"}
 
 
-@pytest.mark.parametrize("m,b,n", [(2, 0, 0), (-1, 1, 0), (0, 1, 1), (2, -1, 3), (2, 1, 0)])
+@pytest.mark.parametrize("m,b,n", [(2, 0, 0), (-1, 1, 0), (0, 1, 1), (2, -1, 3), (2, 1, 0),
+                                   (-5, 1, 3)])
 def test_kmg_poly_refuses_parameters_outside_its_domain(m, b, n):
     with pytest.raises(ValueError, match="kmg_poly needs m >= 1, b >= 0 and n >= 1"):
         bound("kmg_poly", {"m": m, "b": b, "n": n})
+
+
+@pytest.mark.parametrize("name,params,message", [
+    ("gopalan_general", {"m": -5, "b": 1, "n": 3},
+     "gopalan_general needs m >= 1, b >= 0 and n >= 1, got m = -5, b = 1, n = 3"),
+    ("gopalan_general", {"m": 2, "b": 1, "n": 0},
+     "gopalan_general needs m >= 1, b >= 0 and n >= 1, got m = 2, b = 1, n = 0"),
+    ("type_count", {"m": -5, "b": 1}, "type_count needs m >= 1 and b >= 0, got m = -5, b = 1"),
+    ("type_count", {"m": 2, "b": -1}, "type_count needs m >= 1 and b >= 0, got m = 2, b = -1"),
+    ("t4_lower_threshold", {"n": -3}, "t4_lower_threshold needs n >= 1, got n = -3"),
+    ("t3_lower_threshold", {"n": 0}, "t3_lower_threshold needs n >= 1, got n = 0"),
+    ("sidon_max", {"N": -4}, "sidon_max needs N >= 1, got N = -4"),
+    ("sidon_max", {"N": 0}, "sidon_max needs N >= 1, got N = 0"),
+])
+def test_bounds_refuse_parameters_outside_their_domain(name, params, message):
+    # each is refused before any value or estimate is computed; the least
+    # values of the domain are accepted
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bound(name, params)
+    least = {"m": 1, "b": 0, "n": 1, "N": 1}
+    assert bound(name, {k: least[k] for k in params}).value
 
 
 def test_gopalan_general_example():

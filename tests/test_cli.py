@@ -139,6 +139,10 @@ def test_usage_error_exit_2(capsys):
      "--c-r", "1"],
     ["bounds", "--name", "t4_upper", "--n", "1", "--C", "1"],
     ["certify", "--code", "{list_file}"],
+    ["bounds", "--name", "gopalan_general", "--m", "-5", "--b", "1", "--n", "3"],
+    ["bounds", "--name", "type_count", "--m", "-5", "--b", "1"],
+    ["bounds", "--name", "t4_lower_threshold", "--n", "-3"],
+    ["bounds", "--name", "sidon_max", "--N", "-4"],
 ])
 def test_out_of_domain_input_is_usage_error(tmp_path, capsys, argv):
     list_file = tmp_path / "list.json"

@@ -553,9 +553,9 @@ def test_kernel_verdict_matches_the_direct_rank_on_every_class(m, b, n, orders):
 def test_literal_sweep_matches_the_direct_rank_on_unused_grid_rows():
     # the direct rank takes every orbit mask on every choice of grid rows:
     # E0 on every 3 of 4 rows, and on T_5x6(1,2,0) a Type II failure once
-    # Type I has passed on all 5 choices of 4 rows.  The last code is a
-    # failing T_3x8(1,4,0) code over GF(41) whose walk meets a failing mask
-    # in sorted order before the first failing one in mask order
+    # Type I has passed on all 5 choices of 4 rows.  The last code is the
+    # failing T_3x8(1,4,0) code over GF(41) that the CI workflow pins, on
+    # whose first failing columns two masks fail
     codes = []
     for m, b, q in ((4, 3, 13), (4, 3, 16), (4, 3, 17), (5, 2, 13)):
         rng = random.Random(q)
@@ -663,32 +663,22 @@ def test_involution_free_code_walks_every_class(monkeypatch):
     monkeypatch.setattr(mr, "_sorted_walk", counted_sorted_walk)
     monkeypatch.setattr(mr, "_walk", counted_walk)
     # search_mr has built and cached this shape's plan with the real
-    # _sorted_walk; drop it so the counted one sorts the masks
+    # _sorted_walk; drop it so the counted one builds the walks
     mr._sweep_plan.cache_clear()
     rep = certify_mr(code)
     assert (rep.verdict, rep.patterns_checked) == ("certified", 2100)
     # C(8, 6) column subsets times 45 Type I and 30 Type II row classes:
-    # every mask of both types is sorted into its type's walk, one walk per
+    # every mask of both types is a step of its type's walk, one walk per
     # type and column subset, and no walk fails
     type1, type2 = (canonical_type(mask_pattern(mask)) for mask in (TYPE_I_MASK, TYPE_II_MASK))
     assert [canonical_type(mask_pattern(mask)) for mask in compiled] == [type1] * 45 + [type2] * 30
     assert walked == [(45, 45)] * 28 + [(30, 30)] * 28
-    # a second certification of the shape reuses the plan: it sorts no
-    # mask and runs the same sweep
+    # a second certification of the shape reuses the plan: it builds no
+    # walk and runs the same sweep
     del walked[:]
     assert certify_mr(code) == rep
     assert len(compiled) == 75
     assert walked == [(45, 45)] * 28 + [(30, 30)] * 28
-
-
-def _first_dependent_row(rows, spec, height):
-    """The index of the first row in the span of the rows before it, or None;
-    by normalised elimination of ever longer prefixes."""
-    for i in range(len(rows)):
-        prefix = [list(r) for r in rows[:i + 1]]
-        if len(brute_echelon(prefix, spec, height)) <= i:
-            return i
-    return None
 
 
 def _supports(mask):
@@ -741,10 +731,10 @@ def test_kernel_rows_agree_with_both_rank_oracles(m, b):
 @pytest.mark.parametrize("m,b,n", [(4, 2, 8), (3, 3, 8), (4, 3, 8), (3, 4, 8), (5, 2, 7)])
 def test_sorted_walk_matches_per_mask_elimination(m, b, n):
     # every type's row-class masks on every column subset of two random MDS
-    # row codes per field, with random column-parity coefficients.  The walk
-    # must return the least mask index whose reduced block
-    # (reduce_restricted) lacks full column rank; some subsets fail first in
-    # sorted order at a mask that is not the first in mask order.
+    # row codes per field, with random column-parity coefficients.  Step k
+    # of the walk rebuilds mask k's kernel rows, and the walk must return
+    # the least mask index whose reduced block (reduce_restricted) lacks
+    # full column rank.
     types = []
     for pt in enumerate_types(m, b):
         if pt.v > n:
@@ -752,22 +742,24 @@ def test_sorted_walk_matches_per_mask_elimination(m, b, n):
         packed = row_class_masks(pt)
         masks = [unpack_mask(mask, pt.v) for mask in packed]
         entries, walk = _sorted_walk(b, pt.v, packed)
-        assert entries == sorted({s for mask in masks for s in _supports(mask)})
-        assert walk[0][1] == 0
-        walked, prev = {}, ()
-        for k, lcp, suffix in walk:
+        assert entries == _supports(sorted({row for mask in masks for row in mask}))
+        assert walk[0][0] == 0
+        walked, prev = [], ()
+        for lcp, suffix in walk:
             prev = prev[:lcp] + suffix
-            walked[k] = prev
-        assert len(walked) == len(walk) == len(masks)
-        # a mask walks the kernel rows of its supports, in entry order
+            walked.append(prev)
+        # a mask walks the kernel rows of its rows' supports, in row order,
+        # and the masks' kernel rows come sorted, so each shares the longest
+        # prefix it can with the mask before it
         starts = list(accumulate((len(s) - b for s in entries), initial=0))
         index = {s: i for i, s in enumerate(entries)}
-        assert walked == {k: tuple(r for i in sorted(index[s] for s in _supports(mask))
-                                   for r in range(starts[i], starts[i + 1]))
-                          for k, mask in enumerate(masks)}
+        assert walked == [tuple(r for s in _supports(mask)
+                                for r in range(starts[index[s]], starts[index[s] + 1]))
+                          for mask in masks]
+        assert walked == sorted(walked)
         types.append((pt, masks, entries, walk, walked))
     rng = random.Random(1000 * m + 100 * b + n)
-    failed = sorted_first_differs = 0
+    failed = 0
     for q in (8, 11, 13, 16, 17):
         spec = spec_for_order(q)
         insert = row_inserter(spec)
@@ -784,17 +776,12 @@ def test_sorted_walk_matches_per_mask_elimination(m, b, n):
                     expected = next(filter(fails, range(len(masks))), len(masks))
                     entry_rows = _kernel_rows(code, entries, cols, insert)
                     assert _walk(walk, entry_rows, insert) == expected, (q, pt, cols)
-                    if expected < len(masks):
-                        failed += 1
-                        sorted_first_differs += next(k for k, _, _ in walk if fails(k)) != expected
-    assert failed and sorted_first_differs
+                    failed += expected < len(masks)
+    assert failed
     # The walk takes any rows, not only kernel rows: uniform ones, and the
-    # same with a zero first row and the second a multiple of the third,
-    # which come first in the sorted order.  It must return the least mask
-    # index whose walked rows are dependent (normalised elimination); some
-    # failing rows lie in a prefix that the next sorted mask shares, so the
-    # walk skips that mask (the MDS codes above give no such prefix).
-    shared_dead_prefix = 0
+    # same with a zero first row and the second a multiple of the third.  It
+    # must return the least mask index whose walked rows are dependent
+    # (normalised elimination).
     for q in (7, 8, 11, 13, 16):
         spec = spec_for_order(q)
         insert = row_inserter(spec)
@@ -812,13 +799,6 @@ def test_sorted_walk_matches_per_mask_elimination(m, b, n):
 
                 expected = next(filter(fails, range(len(masks))), len(masks))
                 assert _walk(walk, entry_rows, insert) == expected, (q, pt)
-                if expected == len(masks):
-                    continue
-                i, k = next((i, k) for i, (k, _, _) in enumerate(walk) if fails(k))
-                depth = _first_dependent_row([entry_rows[e] for e in walked[k]],
-                                             spec, width)
-                shared_dead_prefix += i + 1 < len(walk) and depth < walk[i + 1][1]
-    assert shared_dead_prefix
 
 
 # ----------------------------------------------------------------------
