@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import (DimensionMismatch, Inconsistent, InconsistentWord,
-                     NotIrreducible, RankDeficient, Uncorrectable)
+from .errors import (Inconsistent, InconsistentWord, NotIrreducible, RankDeficient,
+                     Uncorrectable)
 from .galois import FieldSpec
 from .gfmatrix import GFMatrix, list_of_rows, rank, solve_unique
 from .patterns import ErasurePattern, Topology, _check_grid, is_irreducible
@@ -84,12 +84,23 @@ class GridWord:
 
     @classmethod
     def of(cls, entries, erased=None) -> "GridWord":
+        """The word of entries with the cells in erased erased.
+
+        With erased None, the erased cells are the None entries.  Otherwise
+        each cell of erased must lie in the grid, where its entry becomes
+        None, and a None entry outside erased raises ValueError naming the
+        cell: decode would read it as the symbol 0.
+        """
         rows = tuple(tuple(row) for row in entries)
         if erased is None:
             er = frozenset((i, j) for i, r in enumerate(rows)
                            for j, x in enumerate(r) if x is None)
         else:
             er = frozenset((int(i), int(j)) for i, j in erased)
+            for i, r in enumerate(rows):
+                for j, x in enumerate(r):
+                    if x is None and (i, j) not in er:
+                        raise ValueError(f"cell {(i, j)} is null but not erased")
         rows = tuple(tuple(None if (i, j) in er else x for j, x in enumerate(r))
                      for i, r in enumerate(rows))
         for (i, j) in er:
@@ -167,15 +178,16 @@ def encode(code: TensorCode, message) -> GridWord:
     The information set is U x V with U the first m-a rows and V the first
     n-b columns (parity positions last); the remaining cells are erased and
     decoded, which gives the unique completion satisfying every row and
-    column parity.  When U x V is not an information set of the code,
-    decode's Uncorrectable or InconsistentWord propagates.
+    column parity.  A message of another length raises ValueError.  When
+    U x V is not an information set of the code, decode's Uncorrectable or
+    InconsistentWord propagates.
     """
     t = code.topology
     spec = code.spec
     msg = [spec.validate(x) for x in message]
     ku, kv = t.m - t.a, t.n - t.b
     if len(msg) != ku * kv:
-        raise DimensionMismatch(f"message length must be {ku * kv}")
+        raise ValueError(f"message length must be {ku * kv}")
     symbols = iter(msg)
     grid = [[next(symbols) if i < ku and j < kv else None for j in range(t.n)]
             for i in range(t.m)]
@@ -185,14 +197,15 @@ def encode(code: TensorCode, message) -> GridWord:
 def decode(code: TensorCode, word: GridWord):
     """Fill erased cells by solving the restricted parity system.
 
-    Returns the completed m x n tuple-of-tuples.  Raises InconsistentWord when
-    the known symbols violate the parities, Uncorrectable when the erased
-    positions are not uniquely determined.
+    Returns the completed m x n tuple-of-tuples.  Raises ValueError when the
+    word is not m x n or holds a symbol outside the field, InconsistentWord
+    when the known symbols violate the parities, Uncorrectable when the
+    erased positions are not uniquely determined.
     """
     t = code.topology
     spec = code.spec
     if len(word.entries) != t.m or any(len(r) != t.n for r in word.entries):
-        raise DimensionMismatch("word shape differs from the topology grid")
+        raise ValueError("word shape differs from the topology grid")
     for row in word.entries:
         for v in row:
             if v is not None:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its enumeration guard."""
 
 
 class MrGridError(Exception):
@@ -25,15 +25,16 @@ class ResourceGuard(MrGridError):
     pass
 
 
+# The enumerations the package runs are counted first and refused with
+# ResourceGuard when the count exceeds this guard.
+ENUMERATION_GUARD = 10 ** 7
+
+
 class Uncorrectable(MrGridError):
     pass
 
 
 class InconsistentWord(MrGridError):
-    pass
-
-
-class DimensionMismatch(MrGridError):
     pass
 
 

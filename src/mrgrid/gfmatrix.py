@@ -8,12 +8,10 @@ given order and never modifies them, so every result is deterministic.
 from __future__ import annotations
 
 from itertools import chain, combinations
+from math import comb
 
-from .errors import Inconsistent, RankDeficient, ResourceGuard
+from .errors import ENUMERATION_GUARD, Inconsistent, RankDeficient, ResourceGuard
 from .galois import FieldSpec
-
-MDS_TEST_MAX_COLS = 64
-MDS_TEST_MAX_W = 6
 
 
 class GFMatrix:
@@ -179,12 +177,17 @@ def solve_unique(m: GFMatrix, rhs):
 
 
 def every_w_columns_independent(m: GFMatrix, w: int) -> bool:
-    """True iff every w-subset of columns has rank w (MDS test at w = rows)."""
+    """True iff every w-subset of columns has rank w (MDS test at w = rows).
+
+    The subsets are ranked one by one in lexicographic order, stopping at the
+    first dependent one; ResourceGuard refuses, before any is ranked, when
+    their number comb(cols, w) exceeds ENUMERATION_GUARD.
+    """
     if not 1 <= w <= m.rows:
         raise ValueError("w must be in [1, rows]")
-    if m.cols > MDS_TEST_MAX_COLS or w > MDS_TEST_MAX_W:
-        raise ResourceGuard(
-            f"subset enumeration guard: cols <= {MDS_TEST_MAX_COLS}, w <= {MDS_TEST_MAX_W}")
+    subsets = comb(m.cols, w)
+    if subsets > ENUMERATION_GUARD:
+        raise ResourceGuard(f"{subsets} column subsets exceed guard {ENUMERATION_GUARD}")
     insert = row_inserter(m.spec)
     for subset in combinations(range(m.cols), w):
         basis = []

@@ -419,8 +419,9 @@ def certify_mr(code: TensorCode,
     skips that test.  The types that fit in n columns, their masks and
     walks depend on the shape alone and come from _sweep_plan, built
     once per shape and first, so its guards refuse a shape over the cap
-    before the MDS check; the null vectors depend on the support's columns
-    in the grid alone and are built once per call.
+    before the MDS check, whose own guard refuses more than
+    ENUMERATION_GUARD column subsets of h_row; the null vectors depend on
+    the support's columns in the grid alone and are built once per call.
 
     Row order does not change a rank, so the masks of one type are checked
     together on each column subset, in one pass: _sorted_walk keeps for
@@ -537,11 +538,19 @@ def search_mr(m: int, b: int, n: int, spec: FieldSpec,
     the rule is the same for (4, 2) and (3, 3), so both accept the same
     values.  The resulting Vandermonde-style candidate is gated by
     certify_mr.  random draws h_row uniformly and gates each draw the same way.
+
+    The shape's sweep plan (_sweep_plan) is fetched after the argument checks
+    and before either strategy runs, so its guards refuse a shape over the
+    type-search guard or instantiation_cap on the first field searched;
+    certify_mr then finds the plan in the cache.
     """
     topo = Topology(m, n, 1, b)
+    if strategy not in ("greedy_indep", "random"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "greedy_indep" and (m, b) not in _GREEDY_SHAPES:
+        raise ValueError("greedy_indep supports (m, b) in {(4, 2), (3, 3)}")
+    _sweep_plan(m, b, n, instantiation_cap)
     if strategy == "greedy_indep":
-        if (m, b) not in _GREEDY_SHAPES:
-            raise ValueError("greedy_indep supports (m, b) in {(4, 2), (3, 3)}")
         values = _greedy_values(spec, n, seed)
         if values is None:
             return None
@@ -549,17 +558,15 @@ def search_mr(m: int, b: int, n: int, spec: FieldSpec,
         code = TensorCode.simple_parity_col(topo, h_row)
         report = certify_mr(code, instantiation_cap)
         return code if report.verdict == "certified" else None
-    if strategy == "random":
-        rng = random.Random(seed)
-        for _ in range(budget):
-            data = [[rng.randrange(spec.order) for _ in range(n)] for _ in range(b)]
-            try:
-                h_row = GFMatrix(spec, data)
-                code = TensorCode.simple_parity_col(topo, h_row)
-            except ValueError:
-                continue
-            report = certify_mr(code, instantiation_cap)
-            if report.verdict == "certified":
-                return code
-        return None
-    raise ValueError(f"unknown strategy {strategy!r}")
+    rng = random.Random(seed)
+    for _ in range(budget):
+        data = [[rng.randrange(spec.order) for _ in range(n)] for _ in range(b)]
+        try:
+            h_row = GFMatrix(spec, data)
+            code = TensorCode.simple_parity_col(topo, h_row)
+        except ValueError:
+            continue
+        report = certify_mr(code, instantiation_cap)
+        if report.verdict == "certified":
+            return code
+    return None

@@ -24,9 +24,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, permutations
 from math import comb, factorial
 
-from .errors import ResourceGuard
-
-ENUMERATION_GUARD = 10 ** 7
+from .errors import ENUMERATION_GUARD, ResourceGuard
 
 
 @dataclass(frozen=True)
@@ -242,10 +240,13 @@ def enumerate_types(m: int, b: int, max_v: int | None = None) -> list[PatternTyp
     the nodes visited) and refused before it starts when it would visit more
     than ENUMERATION_GUARD nodes.  Given max_v, the search and the count
     cover only the widths v <= max_v; a grid with n columns holds only the
-    types with v <= n.
+    types with v <= n.  At b = 1 no u has a width u + 1 <= v <= u - 1, so
+    there are no types and neither loop over u runs.
     """
     if m < 1 or b < 1:
         raise ValueError("need m >= 1 and b >= 1")
+    if b == 1:
+        return []
     nodes = 0
     for u in range(1, m + 1):
         nodes += _search_nodes(u, b, max_v)

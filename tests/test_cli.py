@@ -208,6 +208,17 @@ def test_cap_and_budget_defaults_are_the_library_defaults():
     assert args.cap == mr.DEFAULT_INSTANTIATION_CAP
 
 
+def test_search_over_the_cap_exits_1_at_its_first_field(capsys, monkeypatch):
+    def scan(*args):
+        raise AssertionError("greedy scan ran before the class cap")
+
+    monkeypatch.setattr(mr, "_greedy_values", scan)
+    status, out, err = invoke(capsys, ["search", "--m", "4", "--b", "2", "--n", "30",
+                                       "--q-max", "1048576"])
+    assert (status, out) == (1, "")
+    assert err == "error: ResourceGuard: 44533125 pattern classes exceed cap 10000000\n"
+
+
 def test_search_not_found_exit_1(capsys):
     status, out, _ = invoke(capsys, ["search", "--m", "4", "--b", "2", "--n", "6",
                                      "--q-max", "5"])
@@ -337,7 +348,12 @@ def test_declared_shape_and_field_are_optional(tmp_path, capsys):
                                   {"entries": [[0] * 6] * 4, "erased": [[False, True]]},
                                   # a codeword but for its boolean, which equals the 1 meant
                                   {"entries": [[True, None, 5, 0, 0, 0], [6, 6, 2, 0, 0, 0],
-                                               [0] * 6, [0] * 6]}])
+                                               [0] * 6, [0] * 6]},
+                                  # three rows for the code's four
+                                  {"entries": [[0] * 6] * 3},
+                                  # the zero codeword with a null outside its erased list
+                                  {"entries": [[None] + [0] * 5] + [[0] * 6] * 3,
+                                   "erased": [[1, 1]]}])
 def test_malformed_word_file_is_usage_error(tmp_path, capsys, word):
     (tmp_path / "code.json").write_text(json.dumps(_geometric_code(4, 1).to_dict()))
     (tmp_path / "word.json").write_text(json.dumps(word))

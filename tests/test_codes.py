@@ -8,8 +8,7 @@ from mrgrid import (ErasurePattern, FieldSpec, GFMatrix, GridWord, TensorCode,
                     is_correctable_by, is_irreducible, is_regular, rank,
                     reduce_restricted)
 from mrgrid.codes import pseudo_parity_columns, restricted_rank
-from mrgrid.errors import (DimensionMismatch, InconsistentWord, NotIrreducible,
-                           Uncorrectable)
+from mrgrid.errors import InconsistentWord, NotIrreducible, Uncorrectable
 from mrgrid.mr import E0_MASK, TYPE_II_MASK
 from _support import (TYPE_I_MASK, mask_pattern, random_mds_rows, random_nonzero_row,
                       simple_code, spec_for_order)
@@ -74,7 +73,7 @@ def test_encode_examples():
     code = TensorCode(Topology(2, 2, 1, 1), GFMatrix(s, [[1, 1]]), GFMatrix(s, [[1, 1]]))
     assert encode(code, [0]).entries == ((0, 0), (0, 0))
     assert encode(code, [1]).entries == ((1, 1), (1, 1))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="^message length must be 1$"):
         encode(code, [1, 0])
 
 
@@ -362,7 +361,7 @@ def test_code_and_word_json_roundtrip():
 def test_decode_validates_shape_and_symbols():
     s = FieldSpec(7)
     code = simple_code(s, 3, 4, 1, [1, 2, 3, 4])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="^word shape differs from the topology grid$"):
         decode(code, GridWord.of([[0] * 4] * 2))
     bad = GridWord.of([[9, 0, 0, 0], [0] * 4, [0] * 4])
     with pytest.raises(ValueError):
@@ -375,3 +374,6 @@ def test_erase_bounds_check():
     w = encode(code, [0] * 6)
     with pytest.raises(ValueError, match="out of bounds"):
         GridWord.of(w.entries, [(5, 0)])
+    # a null outside an explicit erased list would decode as the symbol 0
+    with pytest.raises(ValueError, match=r"^cell \(0, 1\) is null but not erased$"):
+        GridWord.of([[0, None, 0, 0], [0] * 4, [0] * 4], [(0, 0)])

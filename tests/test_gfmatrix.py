@@ -102,10 +102,14 @@ def test_every_w_matches_bruteforce():
 
 
 def test_every_w_resource_guard():
+    # the guard counts the comb(cols, w) subsets: 2 x 4472 has 9,997,156 and
+    # is checked (its zero columns fail at the first subset), 2 x 4473 has
+    # 10,001,628 and is refused before any subset is ranked
     s = FieldSpec(2)
-    wide = GFMatrix(s, [[0] * 65] * 2)
-    with pytest.raises(ResourceGuard):
-        every_w_columns_independent(wide, 2)
+    assert not every_w_columns_independent(GFMatrix(s, [[0] * 4472] * 2), 2)
+    with pytest.raises(ResourceGuard, match="^10001628 column subsets exceed guard 10000000$"):
+        every_w_columns_independent(GFMatrix(s, [[0] * 4473] * 2), 2)
+    assert not every_w_columns_independent(GFMatrix(s, [[0] * 65] * 2), 2)
 
 
 def test_rank_equals_transpose_rank():

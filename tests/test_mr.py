@@ -233,6 +233,19 @@ def test_attack_t4_none_on_sidon_exponents():
     assert attack_t4(_row_code(h, 4)) is None
 
 
+def test_attack_t4_past_64_columns_over_gf65536():
+    # T_4x80(1,2,0) over GF(2^16) with h_row [1; w^t], t = 0..79: the MDS
+    # check counts its C(80, 2) = 3160 column pairs, under the subset guard
+    s = spec_for_order(2 ** 16)
+    w = primitive_element(s)
+    h = GFMatrix(s, [[1] * 80, [s.pow(w, t) for t in range(80)]])
+    out = attack_t4(_row_code(h, 4))
+    assert out.witness.to_dict() == {"exponents": [0, 1, 2, 3, 4, 5],
+                                     "pairing": [[0, 5], [1, 4], [2, 3]],
+                                     "modulus": 65535, "columns": [0, 1, 2, 3, 4, 5]}
+    assert out.rank_found == 11
+
+
 def test_attack_t4_not_mds():
     s = FieldSpec(7)
     with pytest.raises(NotMds):
@@ -391,6 +404,15 @@ def test_certify_resource_guard():
     code = simple_code(s, 4, 6, 2, [1, 2, 3, 4, 5, 6])
     with pytest.raises(ResourceGuard):
         certify_mr(code, instantiation_cap=10)
+    # the MDS check's guard counts the column subsets: T_2x9(1,7,0) has no
+    # pattern types and its 36 column 7-subsets are the whole check, while
+    # T_2x64(1,6,0), with no types either, has C(64, 6) subsets, refused
+    # before any is ranked
+    s = FieldSpec(1048573)
+    rep = certify_mr(simple_code(s, 2, 9, 7, range(1, 10)))
+    assert (rep.verdict, rep.patterns_checked) == ("certified", 0)
+    with pytest.raises(ResourceGuard, match="^74974368 column subsets exceed guard 10000000$"):
+        certify_mr(simple_code(s, 2, 64, 6, range(1, 65)))
 
 
 def test_sweep_plan_cache_contract(certified_t46, certified_t37):
@@ -918,6 +940,18 @@ def test_search_random_strategy():
 
 def test_search_not_found_on_tiny_field():
     assert search_mr(4, 2, 6, FieldSpec(5), strategy="greedy_indep", seed=0) is None
+
+
+def test_search_refuses_a_shape_over_the_cap_before_the_greedy_scan(monkeypatch):
+    # the plan is fetched before either strategy runs, so T_4x30(1,2,0) is
+    # refused on its first field, not after a scan of every field
+    def scan(*args):
+        raise AssertionError("greedy scan ran before the class cap")
+
+    monkeypatch.setattr(mr, "_greedy_values", scan)
+    mr._sweep_plan.cache_clear()
+    with pytest.raises(ResourceGuard, match="^44533125 pattern classes exceed cap 10000000$"):
+        search_mr(4, 2, 30, spec_for_order(2))
 
 
 def test_search_rejects_unknown_shapes():

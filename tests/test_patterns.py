@@ -248,6 +248,15 @@ def test_enumerate_types_guard_fails_fast(monkeypatch):
         enumerate_types(3, 10 ** 9)
 
 
+def test_enumerate_types_at_b1_counts_no_search(monkeypatch):
+    # no u has a width u + 1 <= v <= u - 1, so neither loop over u runs
+    calls = []
+    monkeypatch.setattr(patterns, "_search_nodes", lambda *args: calls.append(args) or 0)
+    assert enumerate_types(1000, 1) == []
+    assert enumerate_types(1000, 1, 7) == []
+    assert calls == []
+
+
 def test_search_node_count_admits_eight_column_b3_searches():
     # T_{m x 8}(1, 3, 0) for any m: no type of six or more rows fits in eight
     # columns, and the counted search is under the guard (no search is run)
